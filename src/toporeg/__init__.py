@@ -8,7 +8,6 @@ objective trades cross-entropy against per-class persistent entropy.
 
 from .geometry import (
     AnisotropyProfile,
-    JacobiConvergenceError,
     PointCloud,
     anisotropy,
     anisotropy_profile,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnisotropyProfile",
-    "JacobiConvergenceError",
     "PointCloud",
     "anisotropy",
     "anisotropy_profile",

@@ -7,7 +7,8 @@
 
 Commands are pure functions of their inputs: the same file and flags always
 produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input or
-config, 3 too few points, 4 k out of range, 5 training diverged.
+config, 3 too few points (or too few distinct points for an entropy), 4 k out
+of range, 5 training diverged.
 
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 """
@@ -74,6 +75,8 @@ def cmd_entropy(args) -> int:
         return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
     barcode = vr_barcode_0d(pairwise_distances(loaded.points))
     lengths = barcode.lengths()
+    if not lengths.any():
+        return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 distinct points for persistent entropy")
     payload: dict = {"n_bars": int(lengths.size)}
     if args.select == "features":
         result = select_features(barcode)

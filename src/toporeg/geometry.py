@@ -11,25 +11,19 @@ k = 1 means the rows concentrate along a single direction.  With ``centered``
 the column mean is subtracted first, which turns the scores into normalized
 eigenvalues of the covariance matrix.
 
-Singular values are computed from the Gram matrix of the smaller side via
-cyclic Jacobi sweeps, so the only dependency is elementwise numpy.  Jacobi is
-plenty at desk scale (D up to ~1024) and avoids pulling in a full
-bidiagonalization when only the values are needed.
+Singular values are computed from the Gram matrix of the smaller side with
+LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), which returns the
+values without forming singular vectors and costs one small symmetric
+eigenproblem of size min(N, D).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-12
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to reach the off-diagonal tolerance in budget."""
+PAIRS_PER_SLICE = 65536
 
 
 @dataclass
@@ -86,94 +80,15 @@ def pairwise_distances(cloud) -> np.ndarray:
     n = x.shape[0]
     d = np.zeros((n, n), dtype=np.float64)
     iu, ju = np.triu_indices(n, k=1)
-    if iu.size:
-        diff = x[iu] - x[ju]
+    # pairs are reduced in fixed-size slices so the difference temporary
+    # stays at PAIRS_PER_SLICE x D instead of N(N-1)/2 x D
+    for lo in range(0, iu.size, PAIRS_PER_SLICE):
+        i, j = iu[lo : lo + PAIRS_PER_SLICE], ju[lo : lo + PAIRS_PER_SLICE]
+        diff = x[i] - x[j]
         vals = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        d[iu, ju] = vals
-        d[ju, iu] = vals
+        d[i, j] = vals
+        d[j, i] = vals
     return d
-
-
-_ROUND_ROBIN_CACHE: dict[int, list[np.ndarray]] = {}
-
-
-def _round_robin_rounds(n: int) -> list[np.ndarray]:
-    """Partition all index pairs of 0..n-1 into rounds of disjoint pairs.
-
-    Circle-method tournament schedule: n-1 rounds (n rounds for odd n with a
-    bye), each pairing every index at most once.  One full schedule visits
-    every (p, q) exactly once, i.e. it is one cyclic Jacobi sweep.
-    """
-    cached = _ROUND_ROBIN_CACHE.get(n)
-    if cached is not None:
-        return cached
-    players = list(range(n)) + ([n] if n % 2 else [])  # n is the bye marker
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for k in range(m // 2):
-            x, y = players[k], players[m - 1 - k]
-            if x < n and y < n:
-                pairs.append((min(x, y), max(x, y)))
-        rounds.append(np.array(pairs, dtype=np.intp).reshape(-1, 2))
-        players = [players[0], players[-1]] + players[1:-1]
-    _ROUND_ROBIN_CACHE[n] = rounds
-    return rounds
-
-
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Each sweep visits every off-diagonal pair once, scheduled in rounds of
-    disjoint pairs; rotations within a round act on disjoint index sets, so
-    they commute and can be applied as one batched update.  Sweeps stop when
-    the off-diagonal Frobenius norm drops below JACOBI_TOL relative to the
-    matrix norm; JacobiConvergenceError after JACOBI_MAX_SWEEPS sweeps
-    signals pathological input rather than a tolerance issue.
-    """
-    a = np.array(a, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    iu, ju = np.triu_indices(n, k=1)
-    scale = max(float(np.sqrt((a * a).sum())), np.finfo(np.float64).tiny)
-    # entries this small cannot push the off-diagonal norm past tolerance
-    skip = JACOBI_TOL * scale / (2.0 * n)
-    rounds = _round_robin_rounds(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.sqrt((a[iu, ju] ** 2).sum() * 2.0))
-        if off <= JACOBI_TOL * scale:
-            return np.diagonal(a).copy()
-        for pairs in rounds:
-            ps, qs = pairs[:, 0], pairs[:, 1]
-            apq = a[ps, qs]
-            active = np.abs(apq) > skip
-            if not active.any():
-                continue
-            ps, qs, apq = ps[active], qs[active], apq[active]
-            theta = (a[qs, qs] - a[ps, ps]) / (2.0 * apq)
-            with np.errstate(over="ignore", divide="ignore"):
-                t = np.where(
-                    np.abs(theta) > 1e150,
-                    1.0 / (2.0 * theta),
-                    np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
-                )
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            row_p = a[ps, :]
-            row_q = a[qs, :]
-            a[ps, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[qs, :] = s[:, None] * row_p + c[:, None] * row_q
-            col_p = a[:, ps]
-            col_q = a[:, qs]
-            a[:, ps] = col_p * c - col_q * s
-            a[:, qs] = col_p * s + col_q * c
-            a[ps, qs] = 0.0
-            a[qs, ps] = 0.0
-    raise JacobiConvergenceError(
-        f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted; off-diagonal norm still above tolerance"
-    )
 
 
 def singular_values(m) -> np.ndarray:
@@ -194,26 +109,14 @@ def singular_values(m) -> np.ndarray:
     else:
         gram = m.T @ m
     gram = (gram + gram.T) / 2.0
-    eigs = _jacobi_eigenvalues(gram)
+    eigs = np.linalg.eigvalsh(gram)
     eigs = np.clip(eigs, 0.0, None)
     return np.sqrt(np.sort(eigs)[::-1])
 
 
 def anisotropy(m, k: int, centered: bool = False) -> float:
     """k-th anisotropy score: sigma_k**2 / sum(sigma_i**2), k starting at 1."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    rank_bound = min(m.shape)
-    if not 1 <= k <= rank_bound:
-        raise ValueError(f"k must lie in [1, {rank_bound}], got {k}")
-    if centered:
-        m = m - m.mean(axis=0, keepdims=True)
-    sigma = singular_values(m)
-    total = float((sigma * sigma).sum())
-    if total == 0.0:
-        raise ValueError("anisotropy undefined: matrix has all-zero singular values")
-    return float(sigma[k - 1] ** 2) / total
+    return anisotropy_profile(m, k_max=k, centered=centered).score(k)
 
 
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:

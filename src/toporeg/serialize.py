@@ -8,6 +8,7 @@ the interpreter rather than of this tool's output contract.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -44,9 +45,7 @@ def dump_json(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -101,6 +101,16 @@ class TestEntropyCommand:
         path = write_csv(tmp_path / "bad.csv", "1,2\n3,oops\n")
         assert main(["entropy", path]) == 2
 
+    @pytest.mark.parametrize("select", ["all", "features"])
+    def test_all_duplicate_cloud_exits_3(self, tmp_path, capsys, select):
+        path = write_csv(tmp_path / "dup.csv", "1.5,-2\n" * 5)
+        assert main(["entropy", path, "--select", select]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
 
 class TestAnisotropyCommand:
     def test_rank_one_cloud(self, tmp_path, capsys):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import toporeg.geometry as geometry
 from toporeg.geometry import (
-    JacobiConvergenceError,
     PointCloud,
     anisotropy,
     anisotropy_profile,
@@ -19,11 +17,9 @@ from oracles import scalar_distance_matrix
 
 
 def reference_singular_values(m):
-    """Independent eigensolver oracle (LAPACK, not Jacobi)."""
-    m = np.asarray(m, dtype=float)
-    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
-    eigs = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return np.sqrt(np.sort(eigs)[::-1])
+    """Independent oracle: LAPACK SVD of the matrix itself (gesdd), not the
+    symmetric eigensolver on its Gram matrix that singular_values uses."""
+    return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
 
 
 class TestPointCloud:
@@ -103,11 +99,6 @@ class TestSingularValues:
         assert (sv >= 0).all()
         assert (np.diff(sv) <= 1e-12).all()
 
-    def test_sweep_budget_error(self, monkeypatch):
-        monkeypatch.setattr(geometry, "JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(JacobiConvergenceError):
-            singular_values(np.array([[1.0, 2.0], [3.0, 4.0]]))
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             singular_values(np.array([[1.0, np.nan]]))
@@ -139,6 +130,14 @@ class TestAnisotropy:
         eigs = np.sort(np.linalg.eigvalsh(np.cov(m, rowvar=False)))[::-1]
         share = eigs / eigs.sum()
         assert anisotropy(m, 1, centered=True) == pytest.approx(share[0], rel=1e-8)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_equals_profile_score_bitwise(self, centered):
+        rng = np.random.default_rng(29)
+        m = rng.normal(size=(32, 16)) + 0.5
+        for k in (1, 2, 3, 16):
+            profile = anisotropy_profile(m, k_max=k, centered=centered)
+            assert anisotropy(m, k, centered=centered) == profile.score(k)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
