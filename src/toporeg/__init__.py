@@ -14,7 +14,7 @@ from .geometry import (
     pairwise_distances,
     singular_values,
 )
-from .persistence import Bar, Barcode, UnionFind, cloud_barcode, vr_barcode_0d
+from .persistence import Bar, Barcode, cloud_barcode, vr_barcode_0d
 from .entropy import SelectionResult, max_feature_count, persistent_entropy, select_features
 from .regularizer import (
     ClassPartition,
@@ -56,7 +56,6 @@ __all__ = [
     "singular_values",
     "Bar",
     "Barcode",
-    "UnionFind",
     "cloud_barcode",
     "vr_barcode_0d",
     "SelectionResult",

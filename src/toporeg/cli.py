@@ -7,7 +7,8 @@
 
 Commands are pure functions of their inputs: the same file and flags always
 produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input or
-config, 3 too few points (or too few distinct points for an entropy), 4 k out
+config (including coordinates so large that their distances overflow to
+inf), 3 too few points (or too few distinct points for an entropy), 4 k out
 of range, 5 training diverged.
 
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
@@ -26,7 +27,7 @@ from .cloudfile import CloudParseError, load_cloud_csv
 from .entropy import persistent_entropy, select_features
 from .geometry import anisotropy_profile, pairwise_distances
 from .harness import ConfigError, ExperimentConfig, run_seed, summarize
-from .persistence import vr_barcode_0d
+from .persistence import Barcode, vr_barcode_0d
 from .serialize import dump_json, write_jsonl
 
 EXIT_OK = 0
@@ -47,6 +48,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _barcode(points: np.ndarray) -> Barcode:
+    # distances of coordinates near the float64 limit overflow to inf, which
+    # vr_barcode_0d rejects; numpy's overflow warning would only repeat that
+    with np.errstate(over="ignore"):
+        d = pairwise_distances(points)
+    return vr_barcode_0d(d)
+
+
 def cmd_barcode(args) -> int:
     try:
         loaded = load_cloud_csv(args.input)
@@ -54,7 +63,10 @@ def cmd_barcode(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if loaded.points.shape[0] < 2:
         return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
-    barcode = vr_barcode_0d(pairwise_distances(loaded.points))
+    try:
+        barcode = _barcode(loaded.points)
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, f"{args.input}: pairwise distances overflow float64 ({exc})")
     bars = sorted(barcode.bars, key=lambda bar: (-bar.length, bar.endpoint_a, bar.endpoint_b))
     payload = {
         "bars": [
@@ -73,7 +85,10 @@ def cmd_entropy(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if loaded.points.shape[0] < 2:
         return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
-    barcode = vr_barcode_0d(pairwise_distances(loaded.points))
+    try:
+        barcode = _barcode(loaded.points)
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, f"{args.input}: pairwise distances overflow float64 ({exc})")
     lengths = barcode.lengths()
     if not lengths.any():
         return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 distinct points for persistent entropy")
@@ -116,7 +131,7 @@ def cmd_train(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     except json.JSONDecodeError as exc:
         return _fail(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}")
-    if args.regime:
+    if args.regime and isinstance(raw, dict):
         raw["regime"] = _REGIME_FLAGS[args.regime]
     try:
         cfg = ExperimentConfig.from_dict(raw)

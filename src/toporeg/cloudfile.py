@@ -39,8 +39,11 @@ def _is_float(token: str) -> bool:
 
 
 def load_cloud_csv(path) -> LoadedCloud:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise CloudParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not rows:
         raise CloudParseError(f"{path}: no data rows")
 

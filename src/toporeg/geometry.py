@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# pairwise_distances fills max(1, PAIRS_PER_SLICE // N) rows at a time: a
+# block of rows x N pairs (a single row once N exceeds this), so its
+# difference temporary holds about PAIRS_PER_SLICE x D values
 PAIRS_PER_SLICE = 65536
 
 
@@ -71,23 +74,19 @@ def as_cloud(cloud) -> PointCloud:
 def pairwise_distances(cloud) -> np.ndarray:
     """Euclidean distance matrix of a point cloud.
 
-    The result is exactly symmetric with a zero diagonal: each pair (i, j)
-    with i < j is computed once, with a fixed summation order over the
-    coordinates, and mirrored.  That keeps the output bitwise deterministic
-    no matter how callers parallelize around this function.
+    Rows are filled in blocks of ``max(1, PAIRS_PER_SLICE // N)``, so the
+    difference temporary holds at most about PAIRS_PER_SLICE x D elements.
+    Every entry sums its squared coordinate differences in the same fixed
+    order, and a - b = -(b - a) exactly in IEEE arithmetic, so the result is
+    exactly symmetric with a zero diagonal and bitwise deterministic.
     """
     x = as_cloud(cloud).data
     n = x.shape[0]
-    d = np.zeros((n, n), dtype=np.float64)
-    iu, ju = np.triu_indices(n, k=1)
-    # pairs are reduced in fixed-size slices so the difference temporary
-    # stays at PAIRS_PER_SLICE x D instead of N(N-1)/2 x D
-    for lo in range(0, iu.size, PAIRS_PER_SLICE):
-        i, j = iu[lo : lo + PAIRS_PER_SLICE], ju[lo : lo + PAIRS_PER_SLICE]
-        diff = x[i] - x[j]
-        vals = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        d[i, j] = vals
-        d[j, i] = vals
+    d = np.empty((n, n), dtype=np.float64)
+    rows = max(1, PAIRS_PER_SLICE // n)
+    for lo in range(0, n, rows):
+        diff = x[lo : lo + rows, None, :] - x[None, :, :]
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo : lo + rows])
     return d
 
 

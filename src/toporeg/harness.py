@@ -47,12 +47,30 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message starts with the field path."""
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false in a config is never a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass
 class BlobSpec:
     n_per_class: int = 160
     n_classes: int = 2
     dim: int = 16
     spread: float = 3.0
+
+    def validate(self):
+        """Raise ConfigError naming the field (as ``data.<field>``) if invalid."""
+        for name, least in (("n_per_class", 8), ("n_classes", 2), ("dim", 2)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ConfigError(f"data.{name}: must be an integer >= {least}, got {value!r}")
+        if not (_is_real(self.spread) and np.isfinite(self.spread) and self.spread >= 0):
+            raise ConfigError(f"data.spread: must be a finite real >= 0, got {self.spread!r}")
 
 
 @dataclass
@@ -73,22 +91,30 @@ class ExperimentConfig:
     def validate(self):
         if self.regime not in REGIMES:
             raise ConfigError(f"regime: must be one of {REGIMES}, got {self.regime!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
+        if not _is_int(self.epochs) or self.epochs < 1:
             raise ConfigError(f"epochs: must be an integer >= 1, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 4:
+        if not _is_int(self.batch_size) or self.batch_size < 4:
             raise ConfigError(f"batch_size: must be an integer >= 4, got {self.batch_size!r}")
-        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ConfigError(f"base_lr: must be positive, got {self.base_lr!r}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay: must be >= 0, got {self.weight_decay!r}")
-        if not (np.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
-            raise ConfigError(f"entropy_weight: must be >= 0, got {self.entropy_weight!r}")
-        if not self.seeds:
-            raise ConfigError("seeds: need at least one seed")
-        if not all(isinstance(s, int) for s in self.seeds):
-            raise ConfigError("seeds: must all be integers")
-        if not self.hidden_dims or not all(isinstance(h, int) and h >= 1 for h in self.hidden_dims):
+        if not (_is_real(self.base_lr) and np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr: must be a positive real, got {self.base_lr!r}")
+        if not (_is_real(self.weight_decay) and np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay: must be a real >= 0, got {self.weight_decay!r}")
+        if not (_is_real(self.entropy_weight) and np.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
+            raise ConfigError(f"entropy_weight: must be a real >= 0, got {self.entropy_weight!r}")
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ConfigError(f"seeds: need a nonempty list of seeds, got {self.seeds!r}")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds: must all be integers >= 0, got {self.seeds!r}")
+        if (
+            not isinstance(self.hidden_dims, list)
+            or not self.hidden_dims
+            or not all(_is_int(h) and h >= 1 for h in self.hidden_dims)
+        ):
             raise ConfigError(f"hidden_dims: must be a nonempty list of positive integers, got {self.hidden_dims!r}")
+        if isinstance(self.data, BlobSpec):
+            self.data.validate()
+        elif not isinstance(self.data, str):
+            raise ConfigError(f"data: must be a blob spec or a csv path, got {self.data!r}")
 
     @property
     def selection_mode(self) -> SelectionMode | None:
@@ -148,16 +174,10 @@ def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread
     Cluster noise has standard deviation BLOB_NOISE_RATIO * spread, so the
     geometry is scale-free in ``spread`` and spread = 0 collapses each class
     onto its center.  Returns (cloud, labels, train_idx, val_idx) with a
-    deterministic shuffled 80/20 split.
+    deterministic shuffled 80/20 split.  Parameters that BlobSpec.validate
+    rejects raise ConfigError, a ValueError.
     """
-    if n_per_class < 8:
-        raise ValueError(f"n_per_class must be >= 8, got {n_per_class}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if not (np.isfinite(spread) and spread >= 0):
-        raise ValueError(f"spread must be a finite nonnegative real, got {spread}")
+    BlobSpec(n_per_class, n_classes, dim, spread).validate()
 
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_classes, dim))

@@ -6,10 +6,17 @@ distance graph, so the finite part of the 0-dimensional barcode is the MST
 edge-length multiset: N points yield exactly N - 1 finite bars (the one
 essential component never dies and is dropped).
 
-Kruskal with union-find is used rather than Prim because sorting all edges
-by (length, i, j) gives one global deterministic tie-break order, which
-pins down *which* endpoints realize each bar.  Downstream gradient code
-differentiates through those endpoints, so reproducibility matters here.
+Downstream gradient code differentiates through the endpoints that realize
+each bar, so ties must be broken the same way every time.  Edges are ordered
+strictly by (length, i, j) with i < j.  Under a strict total order the MST
+is unique, so any correct MST algorithm returns the same edges; this module
+uses dense O(N^2) Prim, which needs O(N) memory beyond the distance matrix
+and no edge sort.  Prim keeps, for each point t outside the tree, its least
+edge (p, t) to the tree: a new tree point v replaces p when d[v, t] is
+shorter, or equally long with v < p (for a fixed t, equal-length edges order
+by the other endpoint).  Among outside points with the least edge length it
+adds the one whose edge (min(p, t), max(p, t)) is smallest.  The N - 1 edges
+are then sorted by (length, i, j), the order in which Kruskal accepts them.
 """
 
 from __future__ import annotations
@@ -33,34 +40,6 @@ def barcode_call_count() -> int:
 def reset_barcode_call_count() -> None:
     global _BARCODE_CALLS
     _BARCODE_CALLS = 0
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        """Merge the sets of i and j; returns False if already joined."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-        return True
 
 
 @dataclass
@@ -94,10 +73,11 @@ class Barcode:
 
 
 def vr_barcode_0d(d: np.ndarray) -> Barcode:
-    """Finite 0-dimensional barcode of a distance matrix.
+    """Finite 0-dimensional barcode of a symmetric distance matrix.
 
-    Sorts all N(N-1)/2 edges ascending by (length, i, j) and runs Kruskal;
-    the accepted edge lengths are the bar lengths.  Requires N >= 2.
+    Builds the MST under the strict (length, i, j) edge order with dense
+    Prim and returns its edges sorted by that order; the edge lengths are the
+    bar lengths.  Requires N >= 2 and finite entries.
     """
     global _BARCODE_CALLS
     _BARCODE_CALLS += 1
@@ -108,20 +88,44 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     if n < 2:
         raise ValueError("need at least 2 points for a non-empty barcode")
+    # min and max propagate NaN, so this catches NaN and +-inf without an
+    # N x N mask
+    if not (np.isfinite(d.min()) and np.isfinite(d.max())):
+        raise ValueError("distance matrix has non-finite entries")
 
-    iu, ju = np.triu_indices(n, k=1)
-    weights = d[iu, ju]
-    # lexsort: last key is primary
-    order = np.lexsort((ju, iu, weights))
+    # key[t]: length of the least edge from the tree to outside point t,
+    # parent[t]: its tree endpoint; points in the tree hold key +inf
+    key = d[0].copy()
+    key[0] = np.inf
+    parent = np.zeros(n, dtype=np.intp)
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    heads = np.empty(n - 1, dtype=np.intp)
+    tails = np.empty(n - 1, dtype=np.intp)
+    lengths = np.empty(n - 1, dtype=np.float64)
+    for step in range(n - 1):
+        t = int(np.argmin(key))
+        length = key[t]
+        ties = np.flatnonzero(key == length)
+        if ties.size > 1:
+            p = parent[ties]
+            t = int(ties[np.argmin(np.minimum(p, ties) * n + np.maximum(p, ties))])
+        heads[step], tails[step], lengths[step] = parent[t], t, length
+        key[t] = np.inf
+        outside[t] = False
+        row = d[t]
+        better = (row < key) | ((row == key) & (t < parent))
+        better &= outside
+        np.copyto(key, row, where=better)
+        np.copyto(parent, t, where=better)
 
-    uf = UnionFind(n)
-    bars: list[Bar] = []
-    for e in order:
-        i, j = int(iu[e]), int(ju[e])
-        if uf.union(i, j):
-            bars.append(Bar(length=float(d[i, j]), endpoint_a=i, endpoint_b=j))
-            if len(bars) == n - 1:
-                break
+    a = np.minimum(heads, tails)
+    b = np.maximum(heads, tails)
+    order = np.lexsort((b, a, lengths))  # last key is primary
+    bars = [
+        Bar(length=length, endpoint_a=i, endpoint_b=j)
+        for length, i, j in zip(lengths[order].tolist(), a[order].tolist(), b[order].tolist())
+    ]
     return Barcode(bars=bars, n_points=n)
 
 

@@ -64,6 +64,30 @@ def prim_mst_weight(dist) -> float:
     return total
 
 
+def kruskal_bars(dist) -> list[tuple[float, int, int]]:
+    """MST edges (length, i, j), i < j, by Kruskal under the (length, i, j) order.
+
+    Edges are accepted in that order, so the list comes out sorted by it.
+    """
+    dist = np.asarray(dist, dtype=float)
+    n = dist.shape[0]
+    edges = sorted((float(dist[i, j]), i, j) for i in range(n) for j in range(i + 1, n))
+    component = list(range(n))
+
+    def root(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    bars = []
+    for length, i, j in edges:
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            component[rj] = ri
+            bars.append((length, i, j))
+    return bars
+
+
 def prufer_to_edges(seq, n) -> list[tuple[int, int]]:
     """Decode a Pruefer sequence into the labeled tree's edge list."""
     degree = [1] * n

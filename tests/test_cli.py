@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,13 @@ from toporeg.harness import RunMetrics
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def assert_one_error_line(captured):
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 @pytest.fixture
@@ -112,6 +120,28 @@ class TestEntropyCommand:
         assert "Traceback" not in captured.err
 
 
+class TestUnreadableClouds:
+    @pytest.mark.parametrize("argv", [["barcode"], ["entropy"], ["entropy", "--select", "features"]])
+    def test_overflowing_distances_exit_2(self, tmp_path, capsys, argv):
+        # each coordinate is finite, but the first two points are 2e308 apart
+        path = write_csv(tmp_path / "huge.csv", "1e308,1e308\n-1e308,-1e308\n0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main([argv[0], path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "overflow" in captured.err
+
+    @pytest.mark.parametrize("command", ["barcode", "entropy", "anisotropy"])
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "binary.csv" in captured.err and "UTF-8" in captured.err
+
+
 class TestAnisotropyCommand:
     def test_rank_one_cloud(self, tmp_path, capsys):
         path = write_csv(tmp_path / "r1.csv", "1,2\n2,4\n3,6\n-1,-2\n")
@@ -199,6 +229,30 @@ class TestTrainCommand:
         cfg = train_config(tmp_path, epochs=0)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(data={"n_per_class": 4}), "data.n_per_class"),
+            (dict(seeds=[True]), "seeds"),
+            (dict(base_lr="x"), "base_lr"),
+            (dict(epochs=True), "epochs"),
+            (dict(hidden_dims=[8, False]), "hidden_dims"),
+            (dict(seeds=[-1]), "seeds"),
+        ],
+    )
+    def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
+        cfg = train_config(tmp_path, **overrides)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith(f"error: {field}:")
+
+    def test_json_list_config_with_regime_flag_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["train", "--config", str(path), "--regime", "all", "--out", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys.readouterr())
 
     def test_unparseable_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

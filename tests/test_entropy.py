@@ -138,6 +138,15 @@ class TestSelectFeatures:
             want = sorted(reference_feature_lengths(lengths))
             np.testing.assert_allclose(got, want, atol=0)
 
+    def test_zero_entropy_tail_stops_exactly_at_c_one(self):
+        # tail [0, T] has entropy exactly 0, so step 1 gives C == 1.0 and the
+        # second T is noise; for this T, log(P) - T*log(T)/P rounds to 2**-52
+        t = 5.334129085967947
+        res = select_features(np.array([t, t, 0.0]))
+        assert res.q_trace == [(1, 0, 1.0)]
+        assert res.selected == [0]
+        assert sorted(reference_feature_lengths([t, t, 0.0])) == [t]
+
     def test_monotone_separation_grid(self):
         # two well-separated scales: exactly the big bars are features
         for ratio in (20.0, 50.0, 100.0):

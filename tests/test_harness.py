@@ -101,6 +101,10 @@ class TestExperimentConfig:
             (dict(entropy_weight=-2.0), "entropy_weight"),
             (dict(seeds=[]), "seeds"),
             (dict(hidden_dims=[]), "hidden_dims"),
+            (dict(seeds=[True]), "seeds"),
+            (dict(base_lr="x"), "base_lr"),
+            (dict(data=BlobSpec(n_per_class=4)), "data.n_per_class"),
+            (dict(data=BlobSpec(spread=np.inf)), "data.spread"),
         ],
     )
     def test_validation_names_the_field(self, kw, field):

@@ -4,27 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toporeg.geometry import pairwise_distances
-from toporeg.persistence import Bar, Barcode, UnionFind, cloud_barcode, vr_barcode_0d
+from toporeg.persistence import Bar, Barcode, cloud_barcode, vr_barcode_0d
 
-from oracles import all_spanning_trees, prim_mst_weight, single_linkage_heights
-
-
-class TestUnionFind:
-    def test_union_then_find_agree(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1)
-        assert uf.union(3, 4)
-        assert not uf.union(1, 0)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(0) != uf.find(3)
-
-    def test_transitive_merging(self):
-        uf = UnionFind(6)
-        for a, b in [(0, 1), (1, 2), (2, 3)]:
-            uf.union(a, b)
-        roots = {uf.find(i) for i in range(4)}
-        assert len(roots) == 1
+from oracles import all_spanning_trees, kruskal_bars, prim_mst_weight, single_linkage_heights
 
 
 class TestBarcode:
@@ -99,10 +81,17 @@ class TestBarcode:
     def test_edges_form_spanning_tree(self):
         rng = np.random.default_rng(5)
         bc = cloud_barcode(rng.normal(size=(12, 2)))
-        uf = UnionFind(12)
+        neighbors = {i: set() for i in range(12)}
         for bar in bc.bars:
-            assert uf.union(bar.endpoint_a, bar.endpoint_b)  # acyclic
-        assert len({uf.find(i) for i in range(12)}) == 1  # connected
+            neighbors[bar.endpoint_a].add(bar.endpoint_b)
+            neighbors[bar.endpoint_b].add(bar.endpoint_a)
+        reached, frontier = {0}, [0]
+        while frontier:
+            for w in neighbors[frontier.pop()] - reached:
+                reached.add(w)
+                frontier.append(w)
+        assert len(reached) == 12  # connected
+        assert len(bc.bars) == 11  # connected with N - 1 edges: acyclic
 
     def test_deterministic_tie_break(self):
         # unit square: four exactly-tied unit edges; lexicographic order wins
@@ -119,6 +108,13 @@ class TestBarcode:
         with pytest.raises(ValueError):
             vr_barcode_0d(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_distances_rejected(self, bad):
+        d = pairwise_distances(np.array([[0.0], [1.0], [3.0]]))
+        d[0, 2] = d[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            vr_barcode_0d(d)
+
     def test_barcode_validates_bar_count(self):
         with pytest.raises(ValueError):
             Barcode(bars=[Bar(1.0, 0, 1)], n_points=5)
@@ -133,3 +129,35 @@ class TestBarcode:
         bc = vr_barcode_0d(d)
         assert len(bc.bars) == n - 1
         assert sum(b.length for b in bc.bars) == pytest.approx(prim_mst_weight(d), abs=1e-12)
+
+
+def tie_heavy_cloud(rng, n) -> np.ndarray:
+    """Points whose distance matrices are full of exact ties."""
+    dim = int(rng.integers(1, 4))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:  # coordinates rounded to 0-2 decimals
+        return np.round(rng.normal(size=(n, dim)), int(rng.integers(0, 3)))
+    if kind == 1:  # integer lattice points
+        return rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    if kind == 2:  # duplicated rows
+        x = rng.normal(size=(n, dim))
+        return x[rng.integers(0, max(1, n // 2), size=n)]
+    return np.full((n, dim), float(rng.normal()))  # all rows equal
+
+
+def bar_triples(barcode) -> list[tuple[float, int, int]]:
+    return [(b.length, b.endpoint_a, b.endpoint_b) for b in barcode.bars]
+
+
+class TestKruskalOracle:
+    """Bars, endpoints and order equal Kruskal's under the (length, i, j) order."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_clouds(self, seed, n):
+        d = pairwise_distances(tie_heavy_cloud(np.random.default_rng(seed), n))
+        assert bar_triples(vr_barcode_0d(d)) == kruskal_bars(d)
+
+    def test_n300(self):
+        d = pairwise_distances(np.round(np.random.default_rng(300).normal(size=(300, 2)), 1))
+        assert bar_triples(vr_barcode_0d(d)) == kruskal_bars(d)
