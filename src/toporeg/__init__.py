@@ -32,15 +32,12 @@ from .model import (
     backward_combined,
     cross_entropy,
     forward,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .harness import (
     BlobSpec,
     ExperimentConfig,
     RunMetrics,
     generate_blobs,
-    run_experiment,
     run_seed,
     summarize,
 )
@@ -75,13 +72,10 @@ __all__ = [
     "backward_combined",
     "cross_entropy",
     "forward",
-    "load_checkpoint",
-    "save_checkpoint",
     "BlobSpec",
     "ExperimentConfig",
     "RunMetrics",
     "generate_blobs",
-    "run_experiment",
     "run_seed",
     "summarize",
 ]

@@ -7,9 +7,10 @@
 
 Commands are pure functions of their inputs: the same file and flags always
 produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input or
-config (including coordinates so large that their distances overflow to
-inf), 3 too few points (or too few distinct points for an entropy), 4 k out
-of range, 5 training diverged.
+config (including coordinates so large that their distances or Gram matrix
+overflow to inf, and training data with a single class), 3 too few points
+(or too few distinct points for an entropy), 4 k out of range, 5 training
+diverged (a non-finite loss or parameter).
 
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,25 +50,28 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _barcode(points: np.ndarray) -> Barcode:
-    # distances of coordinates near the float64 limit overflow to inf, which
-    # vr_barcode_0d rejects; numpy's overflow warning would only repeat that
-    with np.errstate(over="ignore"):
-        d = pairwise_distances(points)
-    return vr_barcode_0d(d)
-
-
-def cmd_barcode(args) -> int:
+def _barcode(path) -> Barcode | int:
+    """Barcode of the cloud in a CSV file, or the exit code of the error it reported."""
     try:
-        loaded = load_cloud_csv(args.input)
+        loaded = load_cloud_csv(path)
     except (OSError, CloudParseError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if loaded.points.shape[0] < 2:
         return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
+    # distances of coordinates near the float64 limit overflow to inf, which
+    # vr_barcode_0d rejects; numpy's overflow warning would only repeat that
+    with np.errstate(over="ignore"):
+        d = pairwise_distances(loaded.points)
     try:
-        barcode = _barcode(loaded.points)
+        return vr_barcode_0d(d)
     except ValueError as exc:
-        return _fail(EXIT_PARSE, f"{args.input}: pairwise distances overflow float64 ({exc})")
+        return _fail(EXIT_PARSE, f"{path}: pairwise distances overflow float64 ({exc})")
+
+
+def cmd_barcode(args) -> int:
+    barcode = _barcode(args.input)
+    if isinstance(barcode, int):
+        return barcode
     bars = sorted(barcode.bars, key=lambda bar: (-bar.length, bar.endpoint_a, bar.endpoint_b))
     payload = {
         "bars": [
@@ -79,16 +84,9 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    try:
-        loaded = load_cloud_csv(args.input)
-    except (OSError, CloudParseError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    if loaded.points.shape[0] < 2:
-        return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
-    try:
-        barcode = _barcode(loaded.points)
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, f"{args.input}: pairwise distances overflow float64 ({exc})")
+    barcode = _barcode(args.input)
+    if isinstance(barcode, int):
+        return barcode
     lengths = barcode.lengths()
     if not lengths.any():
         return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 distinct points for persistent entropy")
@@ -114,7 +112,9 @@ def cmd_anisotropy(args) -> int:
     if args.k < 1 or args.k > min(points.shape):
         return _fail(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
     try:
-        profile = anisotropy_profile(points, k_max=args.k, centered=args.centered)
+        # anisotropy_profile rejects an overflowing Gram matrix; the warning would repeat that
+        with np.errstate(over="ignore"):
+            profile = anisotropy_profile(points, k_max=args.k, centered=args.centered)
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
     payload = {str(k): profile.score(k) for k in range(1, args.k + 1)}
@@ -159,7 +159,7 @@ def cmd_train(args) -> int:
     healthy = [r for r in runs if not r.diverged and len(r.records) >= 10]
     if healthy:
         summary = {
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "seeds": [r.seed for r in healthy],
             "metrics": summarize(healthy),
         }
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barcode", help="0-dimensional barcode of a point-cloud CSV")
     p.add_argument("input", help="point-cloud CSV file")
-    p.add_argument("--metric", choices=["euclidean"], default="euclidean")
     p.set_defaults(func=cmd_barcode)
 
     p = sub.add_parser("entropy", help="persistent entropy, optionally feature-selected")

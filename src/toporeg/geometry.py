@@ -56,10 +56,9 @@ class PointCloud:
 
 @dataclass
 class AnisotropyProfile:
-    """Anisotropy scores for k = 1..len(scores), plus the centering flag."""
+    """Anisotropy scores for k = 1..len(scores)."""
 
     scores: np.ndarray
-    centered: bool
 
     def score(self, k: int) -> float:
         return float(self.scores[k - 1])
@@ -96,7 +95,7 @@ def singular_values(m) -> np.ndarray:
     Computed as square roots of the eigenvalues of the Gram matrix of the
     smaller side (m @ m.T or m.T @ m, whichever is min(N, D) square), with
     eigenvalues clamped at zero first: Gram matrices are PSD up to round-off.
-    Returns exactly min(N, D) values.
+    Returns exactly min(N, D) values; raises ValueError if the Gram matrix overflows.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -108,6 +107,8 @@ def singular_values(m) -> np.ndarray:
     else:
         gram = m.T @ m
     gram = (gram + gram.T) / 2.0
+    if not np.isfinite(gram).all():
+        raise ValueError("Gram matrix overflows float64")
     eigs = np.linalg.eigvalsh(gram)
     eigs = np.clip(eigs, 0.0, None)
     return np.sqrt(np.sort(eigs)[::-1])
@@ -133,4 +134,6 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     total = float((sigma * sigma).sum())
     if total == 0.0:
         raise ValueError("anisotropy undefined: matrix has all-zero singular values")
-    return AnisotropyProfile(scores=(sigma[:k_max] ** 2) / total, centered=centered)
+    if total == np.inf:
+        raise ValueError("anisotropy undefined: squared singular values overflow float64")
+    return AnisotropyProfile(scores=(sigma[:k_max] ** 2) / total)

@@ -15,7 +15,8 @@ with an identical config and seed produce identical metric streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import contextlib
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -126,36 +127,24 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: must be a JSON object")
-        known = {
-            "regime", "base_lr", "weight_decay", "epochs", "batch_size",
-            "entropy_weight", "seeds", "data", "hidden_dims",
-        }
+        known = {f.name for f in fields(cls)}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"{key}: unknown config field")
         kwargs = dict(raw)
-        if "data" in kwargs:
-            data = kwargs["data"]
-            if isinstance(data, str):
-                pass
-            elif isinstance(data, dict):
-                if "csv" in data:
-                    kwargs["data"] = str(data["csv"])
-                else:
-                    try:
-                        kwargs["data"] = BlobSpec(**data)
-                    except TypeError as exc:
-                        raise ConfigError(f"data: {exc}") from None
-            else:
-                raise ConfigError("data: must be a blob-spec object or a csv path")
+        data = kwargs.get("data")
+        # validate() rejects data that is neither a blob spec nor a path
+        if isinstance(data, dict) and "csv" in data:
+            kwargs["data"] = str(data["csv"])
+        elif isinstance(data, dict):
+            try:
+                kwargs["data"] = BlobSpec(**data)
+            except TypeError as exc:
+                raise ConfigError(f"data: {exc}") from None
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"config: {exc}") from None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
 
 
 @dataclass
@@ -175,7 +164,8 @@ def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread
     geometry is scale-free in ``spread`` and spread = 0 collapses each class
     onto its center.  Returns (cloud, labels, train_idx, val_idx) with a
     deterministic shuffled 80/20 split.  Parameters that BlobSpec.validate
-    rejects raise ConfigError, a ValueError.
+    rejects, and a spread so large that a coordinate overflows float64,
+    raise ConfigError, a ValueError.
     """
     BlobSpec(n_per_class, n_classes, dim, spread).validate()
 
@@ -188,6 +178,8 @@ def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread
             for c in range(n_classes)
         ]
     )
+    if not np.isfinite(points).all():
+        raise ConfigError(f"data.spread: blob coordinates overflow float64 at spread {spread!r}")
     labels = np.repeat(np.arange(n_classes), n_per_class)
     n_total = n_classes * n_per_class
     perm = rng.permutation(n_total)
@@ -202,6 +194,8 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     loaded = load_cloud_csv(cfg.data)
     if loaded.labels is None:
         raise ConfigError("data: csv file must carry a trailing 'label' column for training")
+    if np.unique(loaded.labels).size < 2:
+        raise ConfigError(f"data: {cfg.data}: training needs at least 2 classes, found one label")
     n_total = loaded.points.shape[0]
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
     perm = rng.permutation(n_total)
@@ -209,22 +203,31 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     return PointCloud(loaded.points), loaded.labels, perm[:n_train], perm[n_train:]
 
 
-def _evaluate(mlp, eval_batch, val_x, val_y) -> dict:
-    logits, _, _ = forward(mlp, val_x)
+def _evaluate(mlp, val_x, val_y) -> dict:
+    """Accuracy on every validation row and anisotropy on the first
+    EVAL_BATCH_SIZE; a score is 0.0 past the rank bound, and every score is
+    0.0 when the (centered) representations are all zero."""
+    logits, reps, _ = forward(mlp, val_x)
     accuracy = float((np.argmax(logits, axis=1) == val_y).mean())
-    _, reps, _ = forward(mlp, eval_batch)
+    reps = reps[:EVAL_BATCH_SIZE]
     k_max = min(max(ANISOTROPY_KS), min(reps.shape))
-    raw = anisotropy_profile(reps, k_max=k_max, centered=False)
-    cen = anisotropy_profile(reps, k_max=k_max, centered=True)
+    scores = np.zeros((2, max(ANISOTROPY_KS)))  # rows: raw, centered
+    for row, centered in enumerate((False, True)):
+        with contextlib.suppress(ValueError):
+            scores[row, :k_max] = anisotropy_profile(reps, k_max=k_max, centered=centered).scores
     rec = {"val_accuracy": accuracy}
     for k in ANISOTROPY_KS:
-        rec[f"anisotropy_raw_{k}"] = raw.score(k) if k <= k_max else 0.0
-        rec[f"anisotropy_centered_{k}"] = cen.score(k) if k <= k_max else 0.0
+        rec[f"anisotropy_raw_{k}"] = float(scores[0, k - 1])
+        rec[f"anisotropy_centered_{k}"] = float(scores[1, k - 1])
     return rec
 
 
+# overflow leaves inf or nan in the blobs, the loss or a parameter, which
+# run_seed reports; numpy's warnings would only repeat that
+@np.errstate(over="ignore", invalid="ignore")
 def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
-    """Train one seed to completion (or divergence) and log every step."""
+    """Train one seed to completion, or to the first step whose loss or
+    updated parameters are not finite (divergence), and log every step."""
     cloud, labels, train_idx, val_idx = _load_dataset(cfg, seed)
     x, y = cloud.data, labels
     if val_idx.size < 2 or train_idx.size < cfg.batch_size:
@@ -241,7 +244,6 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
     sched = WarmupSchedule.for_total(cfg.base_lr, total_steps)
     batch_rng = np.random.default_rng([seed, _STREAM_BATCHES])
 
-    eval_batch = x[val_idx[:EVAL_BATCH_SIZE]]
     val_x, val_y = x[val_idx], y[val_idx]
     mode = cfg.selection_mode
 
@@ -257,6 +259,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
             if not np.isfinite(breakdown.total):
                 return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
             adam_step(params, grads, state, sched, cfg.weight_decay)
+            if not all(np.isfinite(p).all() for p in params):
+                return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
             step += 1
             rec = {
                 "step": step,
@@ -264,14 +268,9 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
                 "ent": breakdown.ent,
                 "total": breakdown.total,
             }
-            rec.update(_evaluate(mlp, eval_batch, val_x, val_y))
+            rec.update(_evaluate(mlp, val_x, val_y))
             records.append(rec)
     return RunMetrics(seed=seed, records=records)
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[RunMetrics]:
-    """Run every configured seed sequentially; results ordered like cfg.seeds."""
-    return [run_seed(cfg, seed) for seed in cfg.seeds]
 
 
 def tail_mean(records: list[dict], metric: str) -> float:

@@ -17,12 +17,16 @@ stay clean where the MST structure is stable.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizer import ClassPartition, EntropyLossGrad, SelectionMode, per_class_entropy_loss
+from .regularizer import ClassPartition, SelectionMode, per_class_entropy_loss
+
+# Adam's moment decay rates and denominator guard, and the share of all steps
+# spent in linear warmup
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+WARMUP_FRACTION = 0.1
 
 
 @dataclass
@@ -30,7 +34,7 @@ class MLP:
     """Linear layers (weights, biases), tanh-hidden / identity-output.
 
     ``rep_layer_index`` picks which hidden layer's activations act as the
-    representation cloud; defaults to the last hidden layer.
+    representation cloud; ``init`` sets it to the last hidden layer.
     """
 
     weights: list[np.ndarray]
@@ -58,7 +62,7 @@ class MLP:
             )
 
     @classmethod
-    def init(cls, dims: list[int], rng: np.random.Generator, rep_layer_index: int | None = None) -> "MLP":
+    def init(cls, dims: list[int], rng: np.random.Generator) -> "MLP":
         """Gaussian init scaled by 1/sqrt(fan_in); dims = [in, hidden..., out]."""
         if len(dims) < 2:
             raise ValueError("dims must list at least input and output sizes")
@@ -66,9 +70,7 @@ class MLP:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        if rep_layer_index is None:
-            rep_layer_index = max(len(weights) - 2, 0)  # last hidden layer
-        return cls(weights=weights, biases=biases, rep_layer_index=rep_layer_index)
+        return cls(weights=weights, biases=biases, rep_layer_index=max(len(weights) - 2, 0))
 
     def parameters(self) -> list[np.ndarray]:
         params = []
@@ -151,12 +153,8 @@ def backward_combined(
     if mode is not None:
         if len(mlp.weights) < 2:
             raise ValueError("entropy regularization requires a hidden representation layer")
-        part = ClassPartition.from_labels(labels)
-        eligible = any(idx.size >= 2 for idx in part.groups.values())
-        if eligible:
-            reg = per_class_entropy_loss(reps, part, mode)
-            ent = reg.value
-            ent_grad = reg.grad
+        reg = per_class_entropy_loss(reps, ClassPartition.from_labels(labels), mode)
+        ent, ent_grad = reg.value, reg.grad
 
     probs = softmax(logits)
     one_hot = np.zeros_like(probs)
@@ -199,8 +197,8 @@ class WarmupSchedule:
     total_steps: int
 
     @classmethod
-    def for_total(cls, base_lr: float, total_steps: int, warmup_fraction: float = 0.1) -> "WarmupSchedule":
-        warmup = max(1, int(round(warmup_fraction * total_steps)))
+    def for_total(cls, base_lr: float, total_steps: int) -> "WarmupSchedule":
+        warmup = max(1, int(round(WARMUP_FRACTION * total_steps)))
         return cls(base_lr=base_lr, warmup_steps=warmup, total_steps=total_steps)
 
     def lr_at(self, t: int) -> float:
@@ -221,9 +219,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -246,45 +241,19 @@ def adam_step(
         raise ValueError("params and grads must have equal length")
     state.t += 1
     lr = sched.lr_at(state.t)
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"parameter shape {p.shape} mismatches gradient {g.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         if weight_decay:
             p *= 1.0 - lr * weight_decay
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return lr
 
-
-def save_checkpoint(mlp: MLP, path) -> None:
-    """Write parameters as a flat JSON object keyed by layer index."""
-    payload = {}
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        payload[str(l)] = {
-            "dims": list(w.shape),
-            "weight": w.reshape(-1).tolist(),
-            "bias": b.tolist(),
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path, rep_layer_index: int | None = None) -> MLP:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    weights, biases = [], []
-    for l in range(len(payload)):
-        entry = payload[str(l)]
-        rows, cols = entry["dims"]
-        weights.append(np.array(entry["weight"], dtype=np.float64).reshape(rows, cols))
-        biases.append(np.array(entry["bias"], dtype=np.float64))
-    if rep_layer_index is None:
-        rep_layer_index = max(len(weights) - 2, 0)
-    return MLP(weights=weights, biases=biases, rep_layer_index=rep_layer_index)

@@ -21,25 +21,11 @@ are then sorted by (length, i, j), the order in which Kruskal accepts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pairwise_distances  # noqa: F401  (re-exported convenience)
-
-# Incremented on every barcode computation; lets callers assert that code
-# paths which must not touch persistence (e.g. unregularized training)
-# really do not.
-_BARCODE_CALLS = 0
-
-
-def barcode_call_count() -> int:
-    return _BARCODE_CALLS
-
-
-def reset_barcode_call_count() -> None:
-    global _BARCODE_CALLS
-    _BARCODE_CALLS = 0
+from .geometry import pairwise_distances
 
 
 @dataclass
@@ -79,9 +65,6 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     Prim and returns its edges sorted by that order; the edge lengths are the
     bar lengths.  Requires N >= 2 and finite entries.
     """
-    global _BARCODE_CALLS
-    _BARCODE_CALLS += 1
-
     d = np.asarray(d, dtype=np.float64)
     n = d.shape[0]
     if d.ndim != 2 or d.shape[1] != n:

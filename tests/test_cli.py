@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toporeg.cli as cli
 from toporeg.cli import main
@@ -121,7 +127,15 @@ class TestEntropyCommand:
 
 
 class TestUnreadableClouds:
-    @pytest.mark.parametrize("argv", [["barcode"], ["entropy"], ["entropy", "--select", "features"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["barcode"],
+            ["entropy"],
+            ["entropy", "--select", "features"],
+            ["anisotropy", "--k", "2", "--centered"],
+        ],
+    )
     def test_overflowing_distances_exit_2(self, tmp_path, capsys, argv):
         # each coordinate is finite, but the first two points are 2e308 apart
         path = write_csv(tmp_path / "huge.csv", "1e308,1e308\n-1e308,-1e308\n0,0\n")
@@ -239,6 +253,7 @@ class TestTrainCommand:
             (dict(epochs=True), "epochs"),
             (dict(hidden_dims=[8, False]), "hidden_dims"),
             (dict(seeds=[-1]), "seeds"),
+            (dict(data={"n_per_class": 40, "spread": 1e308}), "data.spread"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -258,6 +273,38 @@ class TestTrainCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+
+    def test_seeds_run_in_config_order(self, tmp_path):
+        cfg = train_config(tmp_path, seeds=[3, 1], epochs=4)
+        out = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "metrics_seed3.jsonl").exists()
+        assert (out / "metrics_seed1.jsonl").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seeds"] == [3, 1]
+
+    @pytest.mark.parametrize("regime", ["none", "selected", "all"])
+    def test_overflowing_parameters_exit_5(self, tmp_path, capsys, regime):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base_lr": 1e300, "epochs": 3, "seeds": [0]}), encoding="utf-8")
+        out = tmp_path / "runs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(["train", "--config", str(path), "--regime", regime, "--out", str(out)]) == 5
+        assert_one_error_line(capsys.readouterr())
+        lines = [json.loads(line) for line in (out / "metrics_seed0.jsonl").read_text().splitlines()]
+        # the update of the last logged step left every parameter finite
+        assert lines[-1]["diverged"] is True
+        assert [rec["step"] for rec in lines[:-1]] == list(range(1, lines[-1]["step"]))
+
+    def test_single_class_csv_exits_2(self, tmp_path, capsys):
+        rows = ["x0,x1,label"] + [f"{i},{-i},0" for i in range(40)]
+        data = write_csv(tmp_path / "one_class.csv", "\n".join(rows) + "\n")
+        cfg = train_config(tmp_path, data={"csv": data}, hidden_dims=[4])
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith("error: data:") and "2 classes" in captured.err
 
     def test_divergence_exits_5_with_partial_outputs(self, tmp_path, monkeypatch):
         cfg = train_config(tmp_path)
@@ -284,3 +331,131 @@ class TestTrainCommand:
         out = tmp_path / "runs"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+
+# --- fuzzing: any input ends in a documented exit code with at most one error line
+
+BAD_CELLS = ["", " ", "abc", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0x1"]
+BAD_LABELS = ["-1", "x", "1.5", ""]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text, half of it malformed: ragged rows, bad or extreme cells, bad labels."""
+    clean = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    header = draw(st.sampled_from([None, "x,y", "x,y,label", "label"]))
+    rows = [] if header is None else [header]
+    number = st.floats(-1e6, 1e6).map(repr)
+    for _ in range(draw(st.integers(0, 12))):
+        n_cells = width if clean else draw(st.sampled_from([width, width + 1, max(width - 1, 1)]))
+        cell = number if clean else st.one_of(number, st.sampled_from(BAD_CELLS))
+        cells = draw(st.lists(cell, min_size=n_cells, max_size=n_cells))
+        if header is not None and header.endswith("label"):
+            cells.append(draw(st.sampled_from(["0", "1", "2"] + ([] if clean else BAD_LABELS))))
+        rows.append(",".join(cells))
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
+
+
+# the training CSV that test_train writes; replaced by its path
+FUZZ_DATA = "<fuzz data csv>"
+
+BAD = [True, "x", -1, [1], None, {"a": 1}]
+
+# config field: (valid small values, invalid values)
+CONFIG_FIELDS = {
+    "regime": (["none", "selected_bars", "all_bars"], BAD + ["sometimes"]),
+    "base_lr": ([1e-3, 1e-2, 0.5], BAD + [0.0, 1e300, float("nan")]),
+    "weight_decay": ([0.0, 1e-3], BAD + [float("inf")]),
+    "epochs": ([1], BAD + [0, 1.0]),
+    "batch_size": ([4, 8], BAD + [2, 4.0]),
+    "entropy_weight": ([0.0, 1.0], BAD),
+    "seeds": ([[0], [1, 0]], BAD + [[], [-1], [True], [0.5]]),
+    "hidden_dims": ([[4], [4, 3]], BAD + [[], [0], [True], 4]),
+    "data": ([{"csv": FUZZ_DATA}, FUZZ_DATA], BAD + [{"csv": "missing.csv"}]),
+    "data.n_per_class": ([8, 12, 16], BAD + [4, 2.5]),
+    "data.n_classes": ([2, 3], BAD + [1]),
+    "data.dim": ([2, 3], BAD + [1]),
+    "data.spread": ([0.0, 1.0, 3.0], BAD + [-1.0, 1e308, float("nan"), float("inf")]),
+}
+# always given, so that no example falls back to the default run, which is much
+# longer or, with a blob this small, has too few points for its batch size
+REQUIRED_FIELDS = ("epochs", "batch_size", "data.n_per_class")
+
+
+@st.composite
+def train_configs(draw):
+    """Config objects with valid small fields, of which a few are broken."""
+    names = sorted(CONFIG_FIELDS)
+    n_broken = draw(st.sampled_from([0, 0, 1, 2]))
+    broken = draw(st.lists(st.sampled_from(names), min_size=n_broken, max_size=n_broken, unique=True))
+    given = set(REQUIRED_FIELDS) | set(draw(st.lists(st.sampled_from(names), unique=True)))
+    config, blob = {}, {}
+    for name in names:
+        if name not in given and name not in broken:
+            continue
+        valid, invalid = CONFIG_FIELDS[name]
+        value = draw(st.sampled_from(invalid if name in broken else valid))
+        if name.startswith("data."):
+            blob[name[len("data."):]] = value
+        else:
+            config[name] = value
+    if "data" not in config or draw(st.booleans()):
+        config["data"] = blob
+    if draw(st.integers(0, 9)) == 0:
+        config["mystery"] = 1
+    return draw(st.sampled_from([config] * 18 + [[1, 2], None]))
+
+
+def run_main(argv):
+    """main(argv) in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_documented_outcome(rc, out, err):
+    assert rc in (0, 2, 3, 4, 5), (rc, err)
+    assert "Traceback" not in err
+    if rc == 0:
+        json.loads(out)
+    else:
+        assert len(err.splitlines()) <= 1, err
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        text=csv_texts(),
+        argv=st.sampled_from(
+            [["barcode"], ["entropy"], ["entropy", "--select", "features"]]
+            + [["anisotropy", f"--k={k}"] for k in range(-1, 6)]
+            + [["anisotropy", f"--k={k}", "--centered"] for k in range(-1, 6)]
+        ),
+    )
+    def test_cloud_commands(self, tmp_path_factory, text, argv):
+        path = tmp_path_factory.getbasetemp() / "fuzz_cloud.csv"
+        path.write_text(text, encoding="utf-8")
+        assert_documented_outcome(*run_main([argv[0], str(path), *argv[1:]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        config=train_configs(),
+        data=csv_texts(),
+        regime=st.sampled_from([[], ["--regime", "none"], ["--regime", "selected"]]),
+    )
+    def test_train(self, tmp_path_factory, config, data, regime):
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzz_data.csv").write_text(data, encoding="utf-8")
+        path = base / "fuzz_config.json"
+        path.write_text(json.dumps(config).replace(FUZZ_DATA, str(base / "fuzz_data.csv")), encoding="utf-8")
+        with mock.patch.dict(os.environ):
+            os.environ.pop("TOPOREG_VERBOSE", None)
+            rc, out, err = run_main(["train", "--config", str(path), *regime, "--out", str(base / "fuzz_runs")])
+        assert out == ""
+        assert rc in (0, 2, 5), (rc, err)
+        assert "Traceback" not in err and len(err.splitlines()) <= 1, err

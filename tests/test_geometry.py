@@ -103,6 +103,11 @@ class TestSingularValues:
         with pytest.raises(ValueError):
             singular_values(np.array([[1.0, np.nan]]))
 
+    def test_rejects_overflowing_gram_matrix(self):
+        # every entry is finite, but their squares are not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="Gram"):
+            singular_values(np.array([[1e308, 0.0], [0.0, 1.0]]))
+
 
 class TestAnisotropy:
     def test_uniform_spectrum(self):
@@ -148,6 +153,11 @@ class TestAnisotropy:
     def test_zero_matrix_is_undefined(self):
         with pytest.raises(ValueError):
             anisotropy(np.zeros((4, 3)), 1)
+
+    def test_overflowing_spectrum_is_undefined(self):
+        # the Gram matrix diag(7e307, 7e307, 7e307) is finite, its trace is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            anisotropy(np.sqrt(7e307) * np.eye(3), 1)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -1,15 +1,17 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import toporeg.harness as harness
-import toporeg.persistence as persistence
+import toporeg.regularizer as regularizer
+from toporeg.model import MLP
 from toporeg.harness import (
     BlobSpec,
     ConfigError,
     ExperimentConfig,
     RunMetrics,
     generate_blobs,
-    run_experiment,
     run_seed,
     summarize,
     tail_mean,
@@ -122,7 +124,7 @@ class TestExperimentConfig:
         assert cfg.regime == "all_bars"
         assert isinstance(cfg.data, BlobSpec)
         assert cfg.data.n_per_class == 16
-        out = cfg.to_dict()
+        out = asdict(cfg)
         assert out["regime"] == "all_bars"
         assert out["data"]["n_per_class"] == 16
 
@@ -141,16 +143,29 @@ class TestRunSeed:
         # 64 train points, batch 16 -> 4 steps
         assert [r["step"] for r in run.records] == [1, 2, 3, 4]
 
-    def test_regime_none_never_touches_persistence(self):
-        persistence.reset_barcode_call_count()
+    @staticmethod
+    def spy_on_barcodes(monkeypatch) -> list:
+        """Record every barcode the regularizer computes; returns the call log."""
+        calls = []
+        real = regularizer.vr_barcode_0d
+
+        def spy(d):
+            calls.append(d.shape[0])
+            return real(d)
+
+        monkeypatch.setattr(regularizer, "vr_barcode_0d", spy)
+        return calls
+
+    def test_regime_none_never_touches_persistence(self, monkeypatch):
+        calls = self.spy_on_barcodes(monkeypatch)
         run = run_seed(smoke_config(regime="none"), 0)
-        assert persistence.barcode_call_count() == 0
+        assert calls == []
         assert all(r["ent"] == 0.0 for r in run.records)
 
-    def test_regularized_regime_does_touch_persistence(self):
-        persistence.reset_barcode_call_count()
+    def test_regularized_regime_does_touch_persistence(self, monkeypatch):
+        calls = self.spy_on_barcodes(monkeypatch)
         run_seed(smoke_config(regime="all_bars"), 0)
-        assert persistence.barcode_call_count() > 0
+        assert calls
 
     def test_anisotropy_records_are_distribution_prefixes(self):
         run = run_seed(smoke_config(regime="all_bars"), 1)
@@ -160,6 +175,16 @@ class TestRunSeed:
             for vals in (raw, cen):
                 assert all(0.0 <= v <= 1.0 for v in vals)
                 assert sum(vals) <= 1.0 + 1e-9
+
+    def test_all_zero_representations_score_zero_anisotropy(self):
+        # with every parameter 0, each representation is tanh(0) = 0, whose
+        # anisotropy is undefined (anisotropy_profile raises) raw and centered
+        mlp = MLP.init([4, 8, 2], np.random.default_rng(0))
+        for p in mlp.parameters():
+            p[...] = 0.0
+        rec = harness._evaluate(mlp, np.ones((10, 4)), np.zeros(10, dtype=int))
+        assert rec["val_accuracy"] == 1.0
+        assert all(rec[f"anisotropy_{kind}_{k}"] == 0.0 for kind in ("raw", "centered") for k in (1, 2, 3))
 
     def test_objective_breakdown_identity_in_records(self):
         cfg = smoke_config(regime="all_bars", entropy_weight=0.5)
@@ -189,11 +214,6 @@ class TestRunSeed:
     def test_batch_larger_than_train_set_rejected(self):
         with pytest.raises(ConfigError):
             run_seed(smoke_config(batch_size=128), 0)
-
-    def test_run_experiment_covers_all_seeds(self):
-        cfg = smoke_config(seeds=[3, 1])
-        runs = run_experiment(cfg)
-        assert [r.seed for r in runs] == [3, 1]
 
 
 class TestSummarize:

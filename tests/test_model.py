@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from toporeg.model import (
     backward_combined,
     cross_entropy,
     forward,
-    load_checkpoint,
-    save_checkpoint,
     softmax,
 )
 from toporeg.regularizer import SelectionMode
@@ -215,27 +212,3 @@ class TestAdam:
         assert used == [0.5, 1.0, 0.5, 0.0]
         assert state.t == 4
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        mlp = small_mlp(seed=13)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(mlp, path)
-        loaded = load_checkpoint(path)
-        assert loaded.rep_layer_index == mlp.rep_layer_index
-        for a, b in zip(loaded.weights, mlp.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(loaded.biases, mlp.biases):
-            np.testing.assert_array_equal(a, b)
-
-    def test_flat_layer_indexed_schema(self, tmp_path):
-        mlp = small_mlp(seed=14)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(mlp, path)
-        payload = json.loads(path.read_text())
-        assert sorted(payload) == ["0", "1", "2"]
-        entry = payload["0"]
-        assert entry["dims"] == [3, 5]
-        assert len(entry["weight"]) == 15  # row-major flattening
-        assert entry["weight"][:5] == mlp.weights[0][0].tolist()
-        assert len(entry["bias"]) == 5
