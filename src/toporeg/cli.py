@@ -8,7 +8,8 @@
 Commands are pure functions of their inputs: the same file and flags always
 produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input or
 config (including coordinates so large that their distances or Gram matrix
-overflow to inf, and training data with a single class), 3 too few points
+overflow to inf, training data with a single class, and a training output
+directory or file that cannot be created or written), 3 too few points
 (or too few distinct points for an entropy), 4 k out of range, 5 training
 diverged (a non-finite loss or parameter).
 
@@ -72,11 +73,12 @@ def cmd_barcode(args) -> int:
     barcode = _barcode(args.input)
     if isinstance(barcode, int):
         return barcode
-    bars = sorted(barcode.bars, key=lambda bar: (-bar.length, bar.endpoint_a, bar.endpoint_b))
+    lengths, a, b = barcode.lengths(), barcode.a, barcode.b
+    order = np.lexsort((b, a, -lengths))  # longest first, then by endpoints
     payload = {
         "bars": [
-            {"length": bar.length, "a": bar.endpoint_a, "b": bar.endpoint_b}
-            for bar in bars
+            {"length": length, "a": i, "b": j}
+            for length, i, j in zip(lengths[order].tolist(), a[order].tolist(), b[order].tolist())
         ]
     }
     print(dump_json(payload))
@@ -139,19 +141,22 @@ def cmd_train(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, str(exc))
 
     runs = []
     for seed in cfg.seeds:
         try:
             run = run_seed(cfg, seed)
+            lines = list(run.records)
+            if run.diverged:
+                lines.append({"step": run.divergence_step, "diverged": True})
+            write_jsonl(lines, out_dir / f"metrics_seed{seed}.jsonl")
         except (ConfigError, CloudParseError, OSError) as exc:
             return _fail(EXIT_PARSE, str(exc))
         runs.append(run)
-        lines = list(run.records)
-        if run.diverged:
-            lines.append({"step": run.divergence_step, "diverged": True})
-        write_jsonl(lines, out_dir / f"metrics_seed{seed}.jsonl")
         if _verbose():
             status = "diverged" if run.diverged else "ok"
             print(f"seed {seed}: {len(run.records)} steps ({status})", file=sys.stderr)
@@ -163,7 +168,10 @@ def cmd_train(args) -> int:
             "seeds": [r.seed for r in healthy],
             "metrics": summarize(healthy),
         }
-        (out_dir / "summary.json").write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
+        try:
+            (out_dir / "summary.json").write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _fail(EXIT_PARSE, str(exc))
 
     if any(r.diverged for r in runs):
         return _fail(EXIT_DIVERGED, "at least one seed diverged; partial outputs retained")

@@ -77,15 +77,15 @@ class SelectionResult:
 
 
 def _scan(
-    middle: list[tuple[float, int]],
+    middle: list[float],
     r_len: float,
     t_len: float,
     alpha: float,
     trace: list[tuple[int, int, float]],
-) -> list[tuple[float, int]]:
-    """Selection passes over candidates sorted longest-first.
+) -> int:
+    """Selection passes over candidate lengths sorted longest-first.
 
-    Returns the (length, index) pairs judged to be features.  Restarts on a
+    Returns how many leading candidates are features.  Restarts on a
     truncated candidate list whenever the Q cap is hit with candidates still
     unexamined, which strictly shrinks the list and guarantees termination.
 
@@ -115,7 +115,7 @@ def _scan(
         acc_h = r_len * math.log(r_len / t_len) if r_len > 0.0 else 0.0
         tail_sum[m], tail_h[m] = acc_sum, acc_h
         for k in range(m - 1, -1, -1):
-            l = middle[k][0]
+            l = middle[k]
             acc_sum += l
             if l > 0.0:
                 acc_h += l * math.log(l / t_len)
@@ -131,14 +131,14 @@ def _scan(
             if c >= 1.0:
                 # neutralizing candidate i no longer boosts the longest bar's
                 # share: i and everything shorter is noise
-                return middle[: i - 1]
+                return i - 1
             if q <= i < m:
                 # cap hit with candidates unexamined: drop them and rescan
                 m = i
                 break
             s_prev = s_cur
         else:
-            return middle[:m]
+            return m
 
 
 def select_features(barcode: Barcode | np.ndarray) -> SelectionResult:
@@ -172,12 +172,18 @@ def select_features(barcode: Barcode | np.ndarray) -> SelectionResult:
         return SelectionResult(selected=list(range(n)), noise=[], alpha=1.0)
 
     alpha = r_len / t_len
-    rest = [(float(lengths[k]), k) for k in range(n) if k not in (t_idx, r_idx)]
-    rest.sort(key=lambda pair: (-pair[0], pair[1]))
+    order = np.argsort(-lengths, kind="stable")  # longest first, equal lengths by index
+    rest = order[(order != t_idx) & (order != r_idx)]
 
     trace: list[tuple[int, int, float]] = []
-    kept = _scan(rest, r_len, t_len, alpha, trace)
+    kept = _scan(lengths[rest].tolist(), r_len, t_len, alpha, trace)
 
-    selected = sorted([t_idx] + [k for _, k in kept])
-    noise = sorted(set(range(n)) - set(selected))
-    return SelectionResult(selected=selected, noise=noise, alpha=alpha, q_trace=trace)
+    is_feature = np.zeros(n, dtype=bool)
+    is_feature[t_idx] = True
+    is_feature[rest[:kept]] = True
+    return SelectionResult(
+        selected=is_feature.nonzero()[0].tolist(),
+        noise=(~is_feature).nonzero()[0].tolist(),
+        alpha=alpha,
+        q_trace=trace,
+    )

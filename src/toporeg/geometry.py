@@ -19,6 +19,7 @@ eigenproblem of size min(N, D).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 # block of rows x N pairs (a single row once N exceeds this), so its
 # difference temporary holds about PAIRS_PER_SLICE x D values
 PAIRS_PER_SLICE = 65536
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -120,7 +122,11 @@ def anisotropy(m, k: int, centered: bool = False) -> float:
 
 
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
-    """Anisotropy scores for k = 1..k_max (default: the full spectrum)."""
+    """Anisotropy scores for k = 1..k_max (default: the full spectrum).
+
+    Singular values within rounding noise of the input count as zero; raises
+    ValueError when none is left (every row equal, for ``centered``).
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
@@ -131,9 +137,17 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
     work = m - m.mean(axis=0, keepdims=True) if centered else m
     sigma = singular_values(work)
+    # rank rule: as in np.linalg.matrix_rank, a singular value at or below
+    # max(N, D) * eps times the scale of the input is rounding noise and
+    # counts as zero.  The scale is sqrt(N * D) * max|m|, a bound on the
+    # Frobenius norm of the uncentered input that cannot overflow, so the
+    # centering error of identical rows scores 0, not 1
+    noise = max(m.shape) * math.sqrt(m.size) * _EPS * float(np.abs(m).max())
+    if sigma[-1] <= noise:  # sigma is sorted descending
+        sigma[sigma <= noise] = 0.0
     total = float((sigma * sigma).sum())
     if total == 0.0:
-        raise ValueError("anisotropy undefined: matrix has all-zero singular values")
+        raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")
     if total == np.inf:
         raise ValueError("anisotropy undefined: squared singular values overflow float64")
     return AnisotropyProfile(scores=(sigma[:k_max] ** 2) / total)

@@ -206,7 +206,8 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
 def _evaluate(mlp, val_x, val_y) -> dict:
     """Accuracy on every validation row and anisotropy on the first
     EVAL_BATCH_SIZE; a score is 0.0 past the rank bound, and every score is
-    0.0 when the (centered) representations are all zero."""
+    0.0 where anisotropy_profile finds no singular value above rounding
+    noise: representations all zero, or all equal when centered."""
     logits, reps, _ = forward(mlp, val_x)
     accuracy = float((np.argmax(logits, axis=1) == val_y).mean())
     reps = reps[:EVAL_BATCH_SIZE]

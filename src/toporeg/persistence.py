@@ -15,8 +15,16 @@ and no edge sort.  Prim keeps, for each point t outside the tree, its least
 edge (p, t) to the tree: a new tree point v replaces p when d[v, t] is
 shorter, or equally long with v < p (for a fixed t, equal-length edges order
 by the other endpoint).  Among outside points with the least edge length it
-adds the one whose edge (min(p, t), max(p, t)) is smallest.  The N - 1 edges
-are then sorted by (length, i, j), the order in which Kruskal accepts them.
+adds the one whose edge (min(p, t), max(p, t)) is smallest.  Such ties are
+rare, so each step probes for one before searching: it sets the chosen
+point's key to +inf and looks again at the minimum, and only when that still
+equals the edge length does it compare the tied edges.  The N - 1 edges are
+then sorted by (length, i, j), the order in which Kruskal accepts them.
+
+A ``Barcode`` stores the bars as three parallel arrays in that order: the
+lengths, and the endpoints ``a`` and ``b`` of each edge with a < b.  Callers
+slice and index these arrays; ``Barcode.bars`` builds ``Bar`` objects from
+them on demand.
 """
 
 from __future__ import annotations
@@ -41,21 +49,40 @@ class Bar:
     endpoint_b: int
 
 
-@dataclass
 class Barcode:
-    """All finite 0-dim bars of a cloud; the endpoint pairs span the points."""
+    """All finite 0-dim bars of a cloud as three parallel read-only arrays.
 
-    bars: list[Bar]
-    n_points: int
+    ``lengths()`` holds the bar lengths, ``a`` and ``b`` the MST edge
+    endpoints with a < b, all in (length, a, b) order.  N points give N - 1
+    bars, so ``n_points`` is the bar count plus one.
+    """
 
-    def __post_init__(self):
-        if len(self.bars) != self.n_points - 1:
+    def __init__(self, lengths, a, b):
+        self._lengths = np.array(lengths, dtype=np.float64)
+        self.a = np.array(a, dtype=np.intp)
+        self.b = np.array(b, dtype=np.intp)
+        if not (self._lengths.ndim == 1 and self._lengths.shape == self.a.shape == self.b.shape):
             raise ValueError(
-                f"barcode must hold n_points - 1 bars, got {len(self.bars)} for {self.n_points} points"
+                "barcode needs 1-D length and endpoint arrays of one size, got shapes "
+                f"{self._lengths.shape}, {self.a.shape} and {self.b.shape}"
             )
+        for arr in (self._lengths, self.a, self.b):
+            arr.flags.writeable = False
+
+    @property
+    def n_points(self) -> int:
+        return self._lengths.size + 1
+
+    @property
+    def bars(self) -> list[Bar]:
+        """The bars as ``Bar`` objects, built on each access."""
+        return [
+            Bar(length=length, endpoint_a=i, endpoint_b=j)
+            for length, i, j in zip(self._lengths.tolist(), self.a.tolist(), self.b.tolist())
+        ]
 
     def lengths(self) -> np.ndarray:
-        return np.array([b.length for b in self.bars], dtype=np.float64)
+        return self._lengths
 
 
 def vr_barcode_0d(d: np.ndarray) -> Barcode:
@@ -77,39 +104,44 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
         raise ValueError("distance matrix has non-finite entries")
 
     # key[t]: length of the least edge from the tree to outside point t,
-    # parent[t]: its tree endpoint; points in the tree hold key +inf
+    # parent[t]: its tree endpoint; points in the tree hold key +inf.  Once t
+    # joins the tree neither changes again, so the loop records only t.
     key = d[0].copy()
     key[0] = np.inf
     parent = np.zeros(n, dtype=np.intp)
     outside = np.ones(n, dtype=bool)
     outside[0] = False
-    heads = np.empty(n - 1, dtype=np.intp)
     tails = np.empty(n - 1, dtype=np.intp)
-    lengths = np.empty(n - 1, dtype=np.float64)
+    # argmin and count_nonzero stand in for min() and any(): at small N most
+    # of a ufunc reduction's time is its set-up
     for step in range(n - 1):
-        t = int(np.argmin(key))
+        t = key.argmin()
         length = key[t]
-        ties = np.flatnonzero(key == length)
-        if ties.size > 1:
-            p = parent[ties]
-            t = int(ties[np.argmin(np.minimum(p, ties) * n + np.maximum(p, ties))])
-        heads[step], tails[step], lengths[step] = parent[t], t, length
         key[t] = np.inf
+        if key[key.argmin()] == length:
+            # another outside point ties: take the smallest (min, max) edge
+            key[t] = length
+            ties = (key == length).nonzero()[0]
+            p = parent[ties]
+            t = ties[(np.minimum(p, ties) * n + np.maximum(p, ties)).argmin()]
+            key[t] = np.inf
+        tails[step] = t
         outside[t] = False
         row = d[t]
-        better = (row < key) | ((row == key) & (t < parent))
+        better = row < key
+        eq = row == key
+        if np.count_nonzero(eq):
+            better |= eq & (t < parent)
         better &= outside
         np.copyto(key, row, where=better)
         np.copyto(parent, t, where=better)
 
+    heads = parent[tails]
+    lengths = d[heads, tails]  # every key entry was copied from this entry
     a = np.minimum(heads, tails)
     b = np.maximum(heads, tails)
     order = np.lexsort((b, a, lengths))  # last key is primary
-    bars = [
-        Bar(length=length, endpoint_a=i, endpoint_b=j)
-        for length, i, j in zip(lengths[order].tolist(), a[order].tolist(), b[order].tolist())
-    ]
-    return Barcode(bars=bars, n_points=n)
+    return Barcode(lengths[order], a[order], b[order])
 
 
 def cloud_barcode(cloud) -> Barcode:

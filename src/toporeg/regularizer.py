@@ -75,12 +75,10 @@ def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> En
         raise ValueError("entropy loss needs at least 2 points")
 
     barcode = vr_barcode_0d(pairwise_distances(pc))
+    lengths, a, b = barcode.lengths(), barcode.a, barcode.b
     if mode is SelectionMode.SELECTED_BARS:
         active = select_features(barcode).selected
-    else:
-        active = list(range(len(barcode.bars)))
-    bars = [barcode.bars[i] for i in active]
-    lengths = np.array([b.length for b in bars], dtype=np.float64)
+        lengths, a, b = lengths[active], a[active], b[active]
 
     grad = np.zeros_like(x)
     if float(lengths.sum()) <= 0.0:
@@ -91,11 +89,12 @@ def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> En
     clamped = np.maximum(lengths, EPS)
     s = float(clamped.sum())
     dE_dl = (-np.log(clamped) + (clamped * np.log(clamped)).sum() / s) / s
-    for g, bar in zip(dE_dl, bars):
-        a, b = bar.endpoint_a, bar.endpoint_b
-        direction = (x[a] - x[b]) / max(bar.length, EPS)
-        grad[a] += g * direction
-        grad[b] -= g * direction
+    step = dE_dl[:, None] * ((x[a] - x[b]) / clamped[:, None])
+    # one unbuffered scatter over (a_0, b_0, a_1, b_1, ...) adds in the order
+    # of a per-bar loop of grad[a] += step; grad[b] -= step, so the sums are
+    # bitwise the same
+    ends = np.stack([a, b], axis=1).ravel()
+    np.add.at(grad, ends, np.stack([step, -step], axis=1).reshape(ends.size, -1))
     return EntropyLossGrad(value=float(value), grad=grad, degenerate=False)
 
 

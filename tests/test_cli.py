@@ -239,6 +239,25 @@ class TestTrainCommand:
         for name in ("metrics_seed0.jsonl", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "out,file,directory",
+        [
+            ("runs", "runs", None),
+            ("file/runs", "file", None),
+            ("runs", None, "runs/metrics_seed0.jsonl"),
+            ("runs", None, "runs/summary.json"),
+        ],
+        ids=["out_is_a_file", "out_under_a_file", "metrics_is_a_directory", "summary_is_a_directory"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, out, file, directory):
+        cfg = train_config(tmp_path)
+        if file:
+            (tmp_path / file).write_text("", encoding="utf-8")
+        if directory:
+            (tmp_path / directory).mkdir(parents=True)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        assert_one_error_line(capsys.readouterr())
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         cfg = train_config(tmp_path, epochs=0)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2

@@ -186,6 +186,13 @@ class TestRunSeed:
         assert rec["val_accuracy"] == 1.0
         assert all(rec[f"anisotropy_{kind}_{k}"] == 0.0 for kind in ("raw", "centered") for k in (1, 2, 3))
 
+    def test_collapsed_representations_score_zero_centered_anisotropy(self):
+        # with spread 0 the validation representations all coincide, so
+        # centering leaves only rounding error, which has no direction
+        run = run_seed(smoke_config(data=BlobSpec(n_per_class=40, n_classes=2, dim=4, spread=0.0)), 0)
+        assert len(run.records) == 12
+        assert all(rec["anisotropy_centered_1"] == 0.0 for rec in run.records)
+
     def test_objective_breakdown_identity_in_records(self):
         cfg = smoke_config(regime="all_bars", entropy_weight=0.5)
         run = run_seed(cfg, 2)

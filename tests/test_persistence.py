@@ -117,7 +117,16 @@ class TestBarcode:
 
     def test_barcode_validates_bar_count(self):
         with pytest.raises(ValueError):
-            Barcode(bars=[Bar(1.0, 0, 1)], n_points=5)
+            Barcode([1.0, 2.0], [0, 1], [1])
+        with pytest.raises(ValueError):
+            Barcode([1.0], [0, 1], [1, 2])
+
+    def test_barcode_arrays_are_read_only_and_bars_match_them(self):
+        bc = vr_barcode_0d(pairwise_distances(np.array([[0.0], [1.0], [3.0]])))
+        assert bc.n_points == 3
+        assert bc.bars == [Bar(1.0, 0, 1), Bar(2.0, 1, 2)]
+        with pytest.raises(ValueError):
+            bc.lengths()[0] = 5.0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -147,6 +156,42 @@ def tie_heavy_cloud(rng, n) -> np.ndarray:
 
 def bar_triples(barcode) -> list[tuple[float, int, int]]:
     return [(b.length, b.endpoint_a, b.endpoint_b) for b in barcode.bars]
+
+
+class TestTieRules:
+    """Each hand-built matrix needs one tie rule of the Prim loop to match Kruskal."""
+
+    def test_equal_keys_across_points_take_the_smallest_edge(self):
+        # after 3 joins, points 1 and 2 both have key 1: (1, 3) and (0, 2);
+        # (0, 2) goes first, and then (1, 2) replaces (1, 3), which closes a
+        # cycle of unit edges that Kruskal rejects
+        d = np.array(
+            [
+                [0.0, 1.5, 1.0, 0.5],
+                [1.5, 0.0, 1.0, 1.0],
+                [1.0, 1.0, 0.0, 1.5],
+                [0.5, 1.0, 1.5, 0.0],
+            ]
+        )
+        want = [(0.5, 0, 3), (1.0, 0, 2), (1.0, 1, 2)]
+        assert kruskal_bars(d) == want
+        assert bar_triples(vr_barcode_0d(d)) == want
+
+    def test_equal_length_edge_to_a_smaller_tree_endpoint_wins(self):
+        # point 2 first gets key 2 through 3; when 1 joins, its edge (1, 2)
+        # is as long and has the smaller tree endpoint, so it replaces (2, 3).
+        # No two outside points ever share a key.
+        d = np.array(
+            [
+                [0.0, 1.5, 2.5, 1.0],
+                [1.5, 0.0, 2.0, 2.4],
+                [2.5, 2.0, 0.0, 2.0],
+                [1.0, 2.4, 2.0, 0.0],
+            ]
+        )
+        want = [(1.0, 0, 3), (1.5, 0, 1), (2.0, 1, 2)]
+        assert kruskal_bars(d) == want
+        assert bar_triples(vr_barcode_0d(d)) == want
 
 
 class TestKruskalOracle:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toporeg.entropy import select_features
+from toporeg.persistence import cloud_barcode
 from toporeg.regularizer import (
+    EPS,
     ClassPartition,
     SelectionMode,
     entropy_loss_grad,
@@ -9,6 +14,7 @@ from toporeg.regularizer import (
 )
 
 from gradcheck import entropy_grad_check, loss_value, discrete_structure
+from oracles import entropy_grad_loop
 
 MODES = [SelectionMode.ALL_BARS, SelectionMode.SELECTED_BARS]
 
@@ -67,6 +73,38 @@ class TestEntropyLossValueAndGrad:
         assert untouched, "test cloud should leave some point untouched"
         for i in untouched:
             np.testing.assert_array_equal(res.grad[i], 0.0)
+
+
+class TestScatterMatchesPerBarLoop:
+    """The one-call gradient scatter adds in the per-bar loop's order."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(seed=st.integers(0, 2**32 - 1), n_distinct=st.integers(2, 12), n_copies=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_on_clouds_with_duplicates_and_hubs(self, mode, seed, n_distinct, n_copies):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        # a hub at the origin with points at one radius around it, so MST
+        # endpoints are shared by several bars, plus random points; copies of
+        # rows add zero-length bars, whose gradient goes through the EPS clamp
+        hub = np.vstack([np.zeros(dim), np.eye(dim), -np.eye(dim)])
+        rows = np.vstack([hub, rng.normal(scale=3.0, size=(n_distinct, dim))])
+        x = np.vstack([rows, rows[rng.integers(0, len(rows), size=n_copies)]])
+
+        barcode = cloud_barcode(x)
+        assert (barcode.lengths() == 0.0).any()
+        assert np.bincount(np.concatenate([barcode.a, barcode.b])).max() >= 2
+        active = range(barcode.lengths().size)
+        if mode is SelectionMode.SELECTED_BARS:
+            active = select_features(barcode).selected
+        all_bars = barcode.bars
+        bars = [(all_bars[i].length, all_bars[i].endpoint_a, all_bars[i].endpoint_b) for i in active]
+
+        res = entropy_loss_grad(x, mode)
+        if res.degenerate:
+            np.testing.assert_array_equal(res.grad, 0.0)
+        else:
+            assert np.array_equal(res.grad, entropy_grad_loop(x, bars, EPS))
 
 
 class TestInvariances:
