@@ -17,7 +17,6 @@ from .geometry import (
 from .persistence import Bar, Barcode, cloud_barcode, vr_barcode_0d
 from .entropy import SelectionResult, max_feature_count, persistent_entropy, select_features
 from .regularizer import (
-    ClassPartition,
     EntropyLossGrad,
     SelectionMode,
     entropy_loss_grad,
@@ -59,7 +58,6 @@ __all__ = [
     "max_feature_count",
     "persistent_entropy",
     "select_features",
-    "ClassPartition",
     "EntropyLossGrad",
     "SelectionMode",
     "entropy_loss_grad",

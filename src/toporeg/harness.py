@@ -237,8 +237,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
     n_classes = int(y.max()) + 1
     dims = [x.shape[1], *cfg.hidden_dims, n_classes]
     mlp = MLP.init(dims, np.random.default_rng([seed, _STREAM_INIT]))
-    params = mlp.parameters()
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(mlp.params)
 
     steps_per_epoch = train_idx.size // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
@@ -254,13 +253,13 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
         order = batch_rng.permutation(train_idx)
         for b in range(steps_per_epoch):
             batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            breakdown, grads = backward_combined(
+            breakdown, grad = backward_combined(
                 mlp, x[batch], y[batch], mode, cfg.entropy_weight
             )
             if not np.isfinite(breakdown.total):
                 return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
-            adam_step(params, grads, state, sched, cfg.weight_decay)
-            if not all(np.isfinite(p).all() for p in params):
+            adam_step(mlp.params, grad, state, sched, cfg.weight_decay)
+            if not np.isfinite(mlp.params).all():
                 return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
             step += 1
             rec = {

@@ -1,9 +1,12 @@
 """Small feedforward classifier trained with a combined objective.
 
 The network is a stack of linear layers with tanh on hidden layers and
-identity on the output.  One hidden layer is designated the representation
-layer: its activations form the point cloud fed to the entropy regularizer.
-The training objective is
+identity on the output.  The last hidden layer is the representation layer:
+its activations form the point cloud fed to the entropy regularizer.  All
+weights and biases live in one flat float64 buffer (``MLP.params``), and the
+gradient comes back as one flat array with the same layout, so the
+optimizer is a handful of element-wise operations on one vector.  The
+training objective is
 
     total = cross_entropy - lambda * sum_over_classes(entropy_loss)
 
@@ -17,11 +20,11 @@ stay clean where the MST structure is stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regularizer import ClassPartition, SelectionMode, per_class_entropy_loss
+from .regularizer import SelectionMode, per_class_entropy_loss
 
 # Adam's moment decay rates and denominator guard, and the share of all steps
 # spent in linear warmup
@@ -29,55 +32,55 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 WARMUP_FRACTION = 0.1
 
 
+def _param_count(dims: list[int]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(buf: np.ndarray, dims: list[int]):
+    """Per-layer (weights, biases) views of a flat buffer laid out w0, b0, w1, b1, ..."""
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(buf[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+        biases.append(buf[start : start + fan_out])
+        start += fan_out
+    return weights, biases
+
+
 @dataclass
 class MLP:
-    """Linear layers (weights, biases), tanh-hidden / identity-output.
+    """Linear layers, tanh-hidden / identity-output, over one flat buffer.
 
-    ``rep_layer_index`` picks which hidden layer's activations act as the
-    representation cloud; ``init`` sets it to the last hidden layer.
+    ``params`` holds every weight and bias, laid out w0, b0, w1, b1, ...;
+    ``weights[l]`` (fan_in x fan_out) and ``biases[l]`` are views into it, so
+    an in-place update of ``params`` updates the layers.  The last hidden
+    layer's activations act as the representation cloud.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    rep_layer_index: int
+    dims: list[int]
+    params: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
-        if len(self.weights) < 1:
-            raise ValueError("need at least one layer")
-        for l in range(len(self.weights) - 1):
-            if self.weights[l].shape[1] != self.weights[l + 1].shape[0]:
-                raise ValueError(
-                    f"layer {l} output dim {self.weights[l].shape[1]} does not feed "
-                    f"layer {l + 1} input dim {self.weights[l + 1].shape[0]}"
-                )
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if b.shape != (w.shape[1],):
-                raise ValueError(f"bias {l} shape {b.shape} mismatches weight {w.shape}")
-        n_hidden = len(self.weights) - 1
-        if not 0 <= self.rep_layer_index < max(n_hidden, 1):
+        if len(self.dims) < 2:
+            raise ValueError("dims must list at least input and output sizes")
+        size = _param_count(self.dims)
+        if np.shape(self.params) != (size,):
             raise ValueError(
-                f"rep_layer_index {self.rep_layer_index} is not a hidden layer (0..{n_hidden - 1})"
+                f"params of shape {np.shape(self.params)} do not fit dims {self.dims}, "
+                f"which need ({size},)"
             )
+        self.weights, self.biases = _layer_views(self.params, self.dims)
 
     @classmethod
     def init(cls, dims: list[int], rng: np.random.Generator) -> "MLP":
         """Gaussian init scaled by 1/sqrt(fan_in); dims = [in, hidden..., out]."""
-        if len(dims) < 2:
-            raise ValueError("dims must list at least input and output sizes")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights=weights, biases=biases, rep_layer_index=max(len(weights) - 2, 0))
-
-    def parameters(self) -> list[np.ndarray]:
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        mlp = cls(dims=list(dims), params=np.zeros(_param_count(dims)))
+        for w in mlp.weights:
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
+        return mlp
 
 
 def forward(mlp: MLP, batch: np.ndarray):
@@ -98,9 +101,8 @@ def forward(mlp: MLP, batch: np.ndarray):
         z = h @ w + b
         h = z if l == last else np.tanh(z)
         activations.append(h)
-    logits = activations[-1]
-    representations = activations[mlp.rep_layer_index + 1]
-    return logits, representations, activations
+    # the last hidden layer, or the output where there is none
+    return activations[-1], activations[max(last, 1)], activations
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -135,8 +137,8 @@ def backward_combined(
     """Gradients of ce - lam * per-class entropy w.r.t. every parameter.
 
     mode=None disables the entropy term entirely (no persistence code runs).
-    Returns (ObjectiveBreakdown, grads) with grads ordered like
-    mlp.parameters().
+    Returns (ObjectiveBreakdown, grad) with grad one flat array laid out
+    like mlp.params.
     """
     labels = np.asarray(labels, dtype=np.int64)
     logits, reps, activations = forward(mlp, batch)
@@ -153,7 +155,7 @@ def backward_combined(
     if mode is not None:
         if len(mlp.weights) < 2:
             raise ValueError("entropy regularization requires a hidden representation layer")
-        reg = per_class_entropy_loss(reps, ClassPartition.from_labels(labels), mode)
+        reg = per_class_entropy_loss(reps, labels, mode)
         ent, ent_grad = reg.value, reg.grad
 
     probs = softmax(logits)
@@ -161,26 +163,21 @@ def backward_combined(
     one_hot[np.arange(n), labels] = 1.0
     delta = (probs - one_hot) / n  # d(total)/d(logits)
 
-    w_grads = [np.zeros_like(w) for w in mlp.weights]
-    b_grads = [np.zeros_like(b) for b in mlp.biases]
+    grad = np.empty_like(mlp.params)
+    w_grads, b_grads = _layer_views(grad, mlp.dims)
     last = len(mlp.weights) - 1
     for l in range(last, -1, -1):
-        h_in = activations[l]
-        w_grads[l] = h_in.T @ delta
-        b_grads[l] = delta.sum(axis=0)
+        np.matmul(activations[l].T, delta, out=w_grads[l])
+        np.sum(delta, axis=0, out=b_grads[l])
         if l == 0:
             break
         dh = delta @ mlp.weights[l].T
-        if l - 1 == mlp.rep_layer_index and ent_grad is not None:
+        if l == last and ent_grad is not None:  # into the representation layer
             dh = dh - lam * ent_grad
         delta = dh * (1.0 - activations[l] ** 2)  # through tanh
 
-    grads = []
-    for wg, bg in zip(w_grads, b_grads):
-        grads.append(wg)
-        grads.append(bg)
     breakdown = ObjectiveBreakdown(ce=ce, ent=ent, total=ce - lam * ent)
-    return breakdown, grads
+    return breakdown, grad
 
 
 @dataclass
@@ -214,46 +211,45 @@ class WarmupSchedule:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators and step counter."""
+    """First/second-moment accumulators, flat like the parameters, and step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     sched: WarmupSchedule,
     weight_decay: float = 0.0,
 ) -> float:
-    """One Adam update in place; returns the learning rate used.
+    """One Adam update of a flat parameter array in place; returns the
+    learning rate used.
 
     Weight decay is decoupled: parameters shrink by lr * weight_decay before
     the bias-corrected Adam delta is applied.
     """
-    if len(params) != len(grads):
-        raise ValueError("params and grads must have equal length")
+    if params.shape != grad.shape:
+        raise ValueError(f"parameter shape {params.shape} mismatches gradient {grad.shape}")
     state.t += 1
     lr = sched.lr_at(state.t)
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"parameter shape {p.shape} mismatches gradient {g.shape}")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        if weight_decay:
-            p *= 1.0 - lr * weight_decay
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    if weight_decay:
+        params *= 1.0 - lr * weight_decay
+    m_hat = m / bc1
+    v_hat = v / bc2
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return lr
 

@@ -49,24 +49,6 @@ class EntropyLossGrad:
     degenerate: bool = False
 
 
-@dataclass
-class ClassPartition:
-    """Point indices grouped by class label."""
-
-    labels: np.ndarray
-    groups: dict[int, np.ndarray]
-
-    @classmethod
-    def from_labels(cls, labels) -> "ClassPartition":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise ValueError("labels must be a 1-D sequence of class indices")
-        groups = {
-            int(c): np.flatnonzero(labels == c) for c in np.unique(labels)
-        }
-        return cls(labels=labels, groups=groups)
-
-
 def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> EntropyLossGrad:
     """Persistent entropy of a cloud's barcode and its coordinate gradient."""
     pc = as_cloud(cloud)
@@ -100,26 +82,28 @@ def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> En
 
 def per_class_entropy_loss(
     cloud,
-    partition: ClassPartition,
+    labels,
     mode: SelectionMode = SelectionMode.ALL_BARS,
 ) -> EntropyLossGrad:
     """Sum of per-class entropy losses, gradients scattered to full layout.
 
-    Classes with fewer than 2 points are skipped.  Applying the loss per
-    class keeps distinct clusters apart: only distances *within* a label
-    group generate gradients.
+    ``labels`` gives each point's class; classes run in ascending label
+    order, and those with fewer than 2 points are skipped.  Applying the
+    loss per class keeps distinct clusters apart: only distances *within* a
+    label group generate gradients.
     """
     pc = as_cloud(cloud)
     x = pc.data
-    if partition.labels.shape[0] != pc.n:
-        raise ValueError(
-            f"partition covers {partition.labels.shape[0]} points, cloud has {pc.n}"
-        )
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-D sequence of class indices")
+    if labels.shape[0] != pc.n:
+        raise ValueError(f"labels cover {labels.shape[0]} points, cloud has {pc.n}")
     total = 0.0
     grad = np.zeros_like(x)
     any_active = False
-    for label in sorted(partition.groups):
-        idx = partition.groups[label]
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
         if idx.size < 2:
             continue
         sub = entropy_loss_grad(PointCloud(x[idx]), mode)

@@ -81,22 +81,19 @@ def entropy_grad_check(points: np.ndarray, mode: SelectionMode, rel_tol: float =
 
 
 def combined_fd_param_gradient(mlp, batch, labels, mode, lam, h: float = FD_H):
-    """Central finite differences of the total objective w.r.t. every parameter."""
-    grads = []
-    for p in mlp.parameters():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up, _ = backward_combined(mlp, batch, labels, mode, lam)
-            flat[k] = orig - h
-            down, _ = backward_combined(mlp, batch, labels, mode, lam)
-            flat[k] = orig
-            gflat[k] = (up.total - down.total) / (2 * h)
-        grads.append(g)
-    return grads
+    """Central finite differences of the total objective w.r.t. every
+    parameter, laid out like mlp.params."""
+    params = mlp.params
+    grad = np.zeros_like(params)
+    for k in range(params.size):
+        orig = params[k]
+        params[k] = orig + h
+        up, _ = backward_combined(mlp, batch, labels, mode, lam)
+        params[k] = orig - h
+        down, _ = backward_combined(mlp, batch, labels, mode, lam)
+        params[k] = orig
+        grad[k] = (up.total - down.total) / (2 * h)
+    return grad
 
 
 def rep_structure(mlp, batch, labels, mode):
@@ -114,20 +111,17 @@ def rep_structure(mlp, batch, labels, mode):
 
 
 def combined_param_stability(mlp, batch, labels, mode, h: float = FD_H):
-    """Per-parameter-coordinate stability of the rep-cloud structure."""
+    """Per-parameter stability of the rep-cloud structure, laid out like
+    mlp.params."""
     base = rep_structure(mlp, batch, labels, mode)
-    masks = []
-    for p in mlp.parameters():
-        mask = np.ones(p.shape, dtype=bool)
-        flat = p.reshape(-1)
-        mflat = mask.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            for sign in (h, -h):
-                flat[k] = orig + sign
-                if rep_structure(mlp, batch, labels, mode) != base:
-                    mflat[k] = False
-                    break
-            flat[k] = orig
-        masks.append(mask)
-    return masks
+    params = mlp.params
+    mask = np.ones(params.shape, dtype=bool)
+    for k in range(params.size):
+        orig = params[k]
+        for sign in (h, -h):
+            params[k] = orig + sign
+            if rep_structure(mlp, batch, labels, mode) != base:
+                mask[k] = False
+                break
+        params[k] = orig
+    return mask

@@ -135,8 +135,9 @@ def all_spanning_trees(n):
         yield prufer_to_edges(seq, n)
 
 
-def scalar_forward(weights, biases, batch, rep_layer_index):
-    """Triple-loop MLP forward pass: tanh hidden, identity output."""
+def scalar_forward(weights, biases, batch):
+    """Triple-loop MLP forward pass: tanh hidden, identity output; returns
+    the logits and the last hidden layer's activations."""
     h = [list(map(float, row)) for row in batch]
     reps = None
     last = len(weights) - 1
@@ -152,7 +153,7 @@ def scalar_forward(weights, biases, batch, rep_layer_index):
             out.append(orow)
         if l != last:
             out = [[math.tanh(v) for v in row] for row in out]
-        if l == rep_layer_index:
+        if l == last - 1:
             reps = out
         h = out
     return h, reps

@@ -120,6 +120,10 @@ class TestAnisotropy:
         m = np.diag([3.0, 4.0])
         assert anisotropy(m, 1) == pytest.approx(16 / 25, abs=1e-14)
         assert anisotropy(m, 2) == pytest.approx(9 / 25, abs=1e-14)
+        # identical rows have rank one: the Gram matrix's zero eigenvalues
+        # come back as rounding noise, whose square roots must still score 0
+        rank_one = np.tile([0.3, -1.2, 2.5, 0.7], (16, 1))
+        np.testing.assert_array_equal(anisotropy_profile(rank_one, k_max=3).scores, [1.0, 0.0, 0.0])
 
     def test_matches_oracle_on_random_matrix(self):
         rng = np.random.default_rng(13)

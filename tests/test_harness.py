@@ -180,8 +180,7 @@ class TestRunSeed:
         # with every parameter 0, each representation is tanh(0) = 0, whose
         # anisotropy is undefined (anisotropy_profile raises) raw and centered
         mlp = MLP.init([4, 8, 2], np.random.default_rng(0))
-        for p in mlp.parameters():
-            p[...] = 0.0
+        mlp.params[...] = 0.0
         rec = harness._evaluate(mlp, np.ones((10, 4)), np.zeros(10, dtype=int))
         assert rec["val_accuracy"] == 1.0
         assert all(rec[f"anisotropy_{kind}_{k}"] == 0.0 for kind in ("raw", "centered") for k in (1, 2, 3))
@@ -192,6 +191,8 @@ class TestRunSeed:
         run = run_seed(smoke_config(data=BlobSpec(n_per_class=40, n_classes=2, dim=4, spread=0.0)), 0)
         assert len(run.records) == 12
         assert all(rec["anisotropy_centered_1"] == 0.0 for rec in run.records)
+        # raw, they span one direction, so every later score is 0
+        assert all(rec["anisotropy_raw_2"] == rec["anisotropy_raw_3"] == 0.0 for rec in run.records)
 
     def test_objective_breakdown_identity_in_records(self):
         cfg = smoke_config(regime="all_bars", entropy_weight=0.5)

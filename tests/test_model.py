@@ -36,7 +36,8 @@ class TestForward:
         assert cross_entropy(logits, labels) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_identity_single_layer(self):
-        mlp = MLP(weights=[np.eye(4)], biases=[np.zeros(4)], rep_layer_index=0)
+        mlp = MLP.init([4, 4], np.random.default_rng(0))
+        mlp.weights[0][...] = np.eye(4)
         batch = np.random.default_rng(2).normal(size=(5, 4))
         logits, _, _ = forward(mlp, batch)
         np.testing.assert_array_equal(logits, batch)
@@ -45,7 +46,7 @@ class TestForward:
         mlp = small_mlp(seed=3)
         batch = np.random.default_rng(4).normal(size=(7, 3))
         logits, reps, _ = forward(mlp, batch)
-        ref_logits, ref_reps = scalar_forward(mlp.weights, mlp.biases, batch, mlp.rep_layer_index)
+        ref_logits, ref_reps = scalar_forward(mlp.weights, mlp.biases, batch)
         np.testing.assert_allclose(logits, np.array(ref_logits), atol=1e-12)
         np.testing.assert_allclose(reps, np.array(ref_reps), atol=1e-12)
 
@@ -53,17 +54,37 @@ class TestForward:
         mlp = small_mlp(seed=5)
         batch = np.random.default_rng(6).normal(size=(4, 3))
         _, reps, activations = forward(mlp, batch)
-        np.testing.assert_array_equal(reps, activations[mlp.rep_layer_index + 1])
+        np.testing.assert_array_equal(reps, activations[-2])  # the last hidden layer
         assert reps.shape == (4, 4)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             forward(small_mlp(), np.zeros((2, 7)))
 
-    def test_layer_dim_validation(self):
+    def test_buffer_must_fit_dims(self):
+        # dims (3, 4, 2) need 3*4 + 4 + 4*2 + 2 = 26 values
+        MLP(dims=[3, 4, 2], params=np.zeros(26))
+        for params in (np.zeros(25), np.zeros(27), np.zeros((2, 13))):
+            with pytest.raises(ValueError, match="do not fit dims"):
+                MLP(dims=[3, 4, 2], params=params)
         with pytest.raises(ValueError):
-            MLP(weights=[np.zeros((3, 4)), np.zeros((5, 2))],
-                biases=[np.zeros(4), np.zeros(2)], rep_layer_index=0)
+            MLP(dims=[3], params=np.zeros(0))
+
+    def test_layers_are_views_of_the_flat_buffer(self):
+        mlp = small_mlp(seed=13)
+        mlp.weights[1][2, 3] = 7.0
+        mlp.biases[2][1] = -5.0
+        assert mlp.params[3 * 5 + 5 + 2 * 4 + 3] == 7.0  # w1 follows w0, b0
+        assert mlp.params[-1] == -5.0  # b2 ends the buffer
+        batch = np.random.default_rng(14).normal(size=(6, 3))
+        before, _, _ = forward(mlp, batch)
+        state = AdamState.for_params(mlp.params)
+        sched = WarmupSchedule(base_lr=0.1, warmup_steps=1, total_steps=10)
+        adam_step(mlp.params, np.ones_like(mlp.params), state, sched)
+        after, _, _ = forward(mlp, batch)
+        assert not np.array_equal(before, after)
+        # one unit-gradient step at lr 0.1 moves every parameter by about -0.1
+        np.testing.assert_allclose(mlp.biases[2], [-0.1, -5.1], rtol=1e-7)
 
 
 class TestBackwardCombined:
@@ -72,23 +93,22 @@ class TestBackwardCombined:
         rng = np.random.default_rng(8)
         batch = rng.normal(size=(8, 3))
         labels = rng.integers(0, 2, size=8)
-        bd_off, grads_off = backward_combined(mlp, batch, labels, None)
-        bd_zero, grads_zero = backward_combined(mlp, batch, labels, SelectionMode.ALL_BARS, lam=0.0)
+        bd_off, grad_off = backward_combined(mlp, batch, labels, None)
+        bd_zero, grad_zero = backward_combined(mlp, batch, labels, SelectionMode.ALL_BARS, lam=0.0)
         assert bd_off.ent == 0.0
         assert bd_zero.total == pytest.approx(bd_zero.ce, abs=1e-15)
-        for a, b in zip(grads_off, grads_zero):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        assert grad_off.shape == mlp.params.shape
+        np.testing.assert_allclose(grad_off, grad_zero, atol=1e-12)
 
     def test_singleton_classes_zero_entropy_term(self):
         mlp = small_mlp(seed=9, dims=(3, 5, 4, 3))
         rng = np.random.default_rng(10)
         batch = rng.normal(size=(3, 3))
         labels = np.array([0, 1, 2])
-        bd, grads = backward_combined(mlp, batch, labels, SelectionMode.ALL_BARS, lam=2.0)
-        _, ce_grads = backward_combined(mlp, batch, labels, None)
+        bd, grad = backward_combined(mlp, batch, labels, SelectionMode.ALL_BARS, lam=2.0)
+        _, ce_grad = backward_combined(mlp, batch, labels, None)
         assert bd.ent == 0.0
-        for a, b in zip(grads, ce_grads):
-            np.testing.assert_allclose(a, b, atol=1e-15)
+        np.testing.assert_allclose(grad, ce_grad, atol=1e-15)
 
     def test_breakdown_identity(self):
         mlp = small_mlp(seed=11)
@@ -111,12 +131,9 @@ class TestBackwardCombined:
             _, analytic = backward_combined(mlp, batch, labels, mode, lam=1.0)
             numeric = combined_fd_param_gradient(mlp, batch, labels, mode, lam=1.0)
             stable = combined_param_stability(mlp, batch, labels, mode)
-            ok = all(
-                np.all(gradient_agrees(a, n, rel_tol=1e-3) | ~s)
-                for a, n, s in zip(analytic, numeric, stable)
-            )
+            ok = bool(np.all(gradient_agrees(analytic, numeric, rel_tol=1e-3) | ~stable))
             passed += ok
-            if not ok and all(s.all() for s in stable):
+            if not ok and stable.all():
                 failures_with_stable_structure += 1
         assert failures_with_stable_structure == 0
         assert passed >= int(0.9 * trials)
@@ -127,7 +144,8 @@ class TestBackwardCombined:
             backward_combined(mlp, np.zeros((2, 3)), np.array([0, 5]), None)
 
     def test_entropy_requires_hidden_layer(self):
-        mlp = MLP(weights=[np.eye(3)], biases=[np.zeros(3)], rep_layer_index=0)
+        mlp = MLP.init([3, 3], np.random.default_rng(0))
+        mlp.weights[0][...] = np.eye(3)
         with pytest.raises(ValueError):
             backward_combined(mlp, np.zeros((4, 3)), np.zeros(4, dtype=int), SelectionMode.ALL_BARS)
 
@@ -156,44 +174,39 @@ class TestWarmupSchedule:
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-        grads = [np.zeros(2), np.zeros((1, 1))]
+        params = np.array([1.0, -2.0, 0.5])
         state = AdamState.for_params(params)
         sched = WarmupSchedule(base_lr=0.1, warmup_steps=1, total_steps=10)
-        adam_step(params, grads, state, sched, weight_decay=0.0)
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
-        np.testing.assert_array_equal(params[1], [[0.5]])
+        adam_step(params, np.zeros(3), state, sched, weight_decay=0.0)
+        np.testing.assert_array_equal(params, [1.0, -2.0, 0.5])
 
     def test_first_step_moves_by_lr_signwise(self):
-        params = [np.array([0.0, 0.0])]
-        grads = [np.array([3.0, -0.2])]
+        params = np.array([0.0, 0.0])
         state = AdamState.for_params(params)
         sched = WarmupSchedule(base_lr=0.05, warmup_steps=1, total_steps=10)
-        adam_step(params, grads, state, sched)
+        adam_step(params, np.array([3.0, -0.2]), state, sched)
         # bias-corrected m/sqrt(v) has unit magnitude for a constant gradient
-        np.testing.assert_allclose(params[0], [-0.05, 0.05], rtol=1e-6)
+        np.testing.assert_allclose(params, [-0.05, 0.05], rtol=1e-6)
 
     def test_decoupled_weight_decay_applies_before_delta(self):
-        params = [np.array([2.0])]
-        grads = [np.array([0.0])]
+        params = np.array([2.0])
         state = AdamState.for_params(params)
         sched = WarmupSchedule(base_lr=0.1, warmup_steps=1, total_steps=10)
-        adam_step(params, grads, state, sched, weight_decay=0.5)
+        adam_step(params, np.array([0.0]), state, sched, weight_decay=0.5)
         # zero gradient: the only movement is the multiplicative decay
-        np.testing.assert_allclose(params[0], [2.0 * (1 - 0.1 * 0.5)], rtol=1e-15)
+        np.testing.assert_allclose(params, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-15)
 
     def test_ten_step_quadratic_matches_scalar_oracle(self):
         target = np.array([1.5, -0.5, 2.0])
         curvature = np.array([1.0, 3.0, 0.5])
 
-        params = [np.array([0.0, 0.0, 0.0])]
+        params = np.array([0.0, 0.0, 0.0])
         state = AdamState.for_params(params)
         sched = WarmupSchedule(base_lr=0.2, warmup_steps=2, total_steps=10)
         mine = []
         for _ in range(10):
-            grads = [2.0 * curvature * (params[0] - target)]
-            adam_step(params, grads, state, sched, weight_decay=0.01)
-            mine.append(params[0].copy())
+            adam_step(params, 2.0 * curvature * (params - target), state, sched, weight_decay=0.01)
+            mine.append(params.copy())
 
         lrs = [WarmupSchedule(0.2, 2, 10).lr_at(t) for t in range(1, 11)]
         ref = scalar_adam_trajectory(
@@ -205,10 +218,16 @@ class TestAdam:
         np.testing.assert_allclose(np.array(mine), np.array(ref), atol=1e-10)
 
     def test_lr_follows_schedule_and_counter(self):
-        params = [np.zeros(1)]
+        params = np.zeros(1)
         state = AdamState.for_params(params)
         sched = WarmupSchedule(base_lr=1.0, warmup_steps=2, total_steps=4)
-        used = [adam_step(params, [np.ones(1)], state, sched) for _ in range(4)]
+        used = [adam_step(params, np.ones(1), state, sched) for _ in range(4)]
         assert used == [0.5, 1.0, 0.5, 0.0]
         assert state.t == 4
 
+    def test_gradient_shape_must_match(self):
+        params = np.zeros(3)
+        state = AdamState.for_params(params)
+        sched = WarmupSchedule(base_lr=1.0, warmup_steps=2, total_steps=4)
+        with pytest.raises(ValueError, match="mismatches gradient"):
+            adam_step(params, np.ones(2), state, sched)

@@ -7,7 +7,6 @@ from toporeg.entropy import select_features
 from toporeg.persistence import cloud_barcode
 from toporeg.regularizer import (
     EPS,
-    ClassPartition,
     SelectionMode,
     entropy_loss_grad,
     per_class_entropy_loss,
@@ -169,16 +168,14 @@ class TestInvariances:
 class TestPerClassLoss:
     def test_single_class_equals_whole_cloud(self):
         cloud = random_cloud(5)
-        part = ClassPartition.from_labels(np.zeros(10, dtype=int))
         whole = entropy_loss_grad(cloud, SelectionMode.ALL_BARS)
-        split = per_class_entropy_loss(cloud, part, SelectionMode.ALL_BARS)
+        split = per_class_entropy_loss(cloud, np.zeros(10, dtype=int), SelectionMode.ALL_BARS)
         assert split.value == pytest.approx(whole.value, abs=1e-12)
         np.testing.assert_allclose(split.grad, whole.grad, atol=1e-12)
 
     def test_two_pair_classes_have_zero_entropy(self):
         cloud = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-        part = ClassPartition.from_labels([0, 0, 1, 1])
-        res = per_class_entropy_loss(cloud, part, SelectionMode.ALL_BARS)
+        res = per_class_entropy_loss(cloud, [0, 0, 1, 1], SelectionMode.ALL_BARS)
         assert res.value == 0.0
 
     @pytest.mark.parametrize("mode", MODES)
@@ -188,8 +185,7 @@ class TestPerClassLoss:
         b = rng.normal(size=(5, 3)) + 4.0
         cloud = np.vstack([a, b])
         labels = np.array([0] * 5 + [1] * 5)
-        part = ClassPartition.from_labels(labels)
-        combined = per_class_entropy_loss(cloud, part, mode)
+        combined = per_class_entropy_loss(cloud, labels, mode)
         ra = entropy_loss_grad(a, mode)
         rb = entropy_loss_grad(b, mode)
         assert combined.value == pytest.approx(ra.value + rb.value, abs=1e-12)
@@ -198,8 +194,7 @@ class TestPerClassLoss:
 
     def test_small_classes_are_skipped(self):
         cloud = random_cloud(9, n=5, dim=2)
-        part = ClassPartition.from_labels([0, 1, 2, 3, 4])  # all singletons
-        res = per_class_entropy_loss(cloud, part, SelectionMode.ALL_BARS)
+        res = per_class_entropy_loss(cloud, [0, 1, 2, 3, 4], SelectionMode.ALL_BARS)  # all singletons
         assert res.value == 0.0
         np.testing.assert_array_equal(res.grad, 0.0)
         assert res.degenerate
@@ -208,13 +203,16 @@ class TestPerClassLoss:
         rng = np.random.default_rng(10)
         cloud = rng.normal(size=(8, 2))
         labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        part = ClassPartition.from_labels(labels)
-        res = per_class_entropy_loss(cloud, part, SelectionMode.ALL_BARS)
+        res = per_class_entropy_loss(cloud, labels, SelectionMode.ALL_BARS)
         for c in (0, 1):
             idx = np.flatnonzero(labels == c)
             sub = entropy_loss_grad(cloud[idx], SelectionMode.ALL_BARS)
             np.testing.assert_allclose(res.grad[idx], sub.grad, atol=1e-12)
 
     def test_partition_length_mismatch(self):
-        with pytest.raises(ValueError):
-            per_class_entropy_loss(random_cloud(0), ClassPartition.from_labels([0, 1]))
+        with pytest.raises(ValueError, match="labels cover 2 points"):
+            per_class_entropy_loss(random_cloud(0), [0, 1])
+
+    def test_labels_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            per_class_entropy_loss(random_cloud(0), np.zeros((10, 1), dtype=int))
