@@ -137,15 +137,21 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
     work = m - m.mean(axis=0, keepdims=True) if centered else m
     sigma = singular_values(work)
-    # rank rule on the eigenvalue scale, where the rounding happens: a Gram
-    # eigenvalue at or below max(N, D) * eps * s**2, with s = sqrt(N * D) *
-    # max|m| bounding the Frobenius norm of the uncentered input, is noise,
-    # so a zero singular value surfaces near sqrt(eps) * sigma_max.  Tested
-    # as sigma <= sqrt(max(N, D) * eps * N * D) * max|m|, which squares
-    # nothing of the input's size: the factor is below 1 unless
-    # max(N, D) * N * D exceeds 1 / eps (about 4.5e15), so the bound stays
-    # finite.  Identical rows score exactly [1, 0, ...] raw and raise centered
-    noise = math.sqrt(max(m.shape) * _EPS * m.size) * float(np.abs(m).max())
+    # rank rule with two noise sources kept apart.  Centering error: as in
+    # np.linalg.matrix_rank, a singular value at or below max(N, D) * eps
+    # times sqrt(N * D) * max|m| (a bound on the Frobenius norm of the
+    # uncentered input) is noise, so identical rows raise centered.  Gram
+    # rounding: the eigensolver works on work's Gram matrix, so an
+    # eigenvalue at or below max(N, D) * eps * sigma_max**2 is noise and a
+    # zero singular value surfaces near sqrt(eps) * sigma_max; identical
+    # rows score exactly [1, 0, ...] raw.  That rule is tested on the sigma
+    # scale, sigma <= sqrt(max(N, D) * eps) * sigma_max, which squares
+    # nothing: sigma is finite and the factor is below 1 unless max(N, D)
+    # exceeds 1 / eps, so neither bound can overflow
+    noise = max(
+        max(m.shape) * math.sqrt(m.size) * _EPS * float(np.abs(m).max()),
+        math.sqrt(max(m.shape) * _EPS) * float(sigma[0]),
+    )
     if sigma[-1] <= noise:  # sigma is sorted descending
         sigma[sigma <= noise] = 0.0
     total = float((sigma * sigma).sum())

@@ -140,6 +140,18 @@ class TestAnisotropy:
         share = eigs / eigs.sum()
         assert anisotropy(m, 1, centered=True) == pytest.approx(share[0], rel=1e-8)
 
+    def test_centered_offset_cloud_keeps_its_directions(self):
+        # a large offset makes max|m| huge next to the centered spread; the
+        # rank rule must judge the centered spectrum on its own scale, not
+        # the offset's, or both real directions are zeroed as noise
+        rng = np.random.default_rng(41)
+        m = 5e6 + rng.normal(size=(100, 2))
+        eigs = np.sort(np.linalg.eigvalsh(np.cov(m, rowvar=False)))[::-1]
+        share = eigs / eigs.sum()
+        scores = anisotropy_profile(m, centered=True).scores
+        assert (scores > 0.3).all()
+        np.testing.assert_allclose(scores, share, rtol=1e-8)
+
     @pytest.mark.parametrize("centered", [False, True])
     def test_equals_profile_score_bitwise(self, centered):
         rng = np.random.default_rng(29)
