@@ -6,15 +6,8 @@ coordinates; track latent anisotropy; and train a small classifier whose
 objective trades cross-entropy against per-class persistent entropy.
 """
 
-from .geometry import (
-    AnisotropyProfile,
-    PointCloud,
-    anisotropy,
-    anisotropy_profile,
-    pairwise_distances,
-    singular_values,
-)
-from .persistence import Bar, Barcode, cloud_barcode, vr_barcode_0d
+from .geometry import AnisotropyProfile, PointCloud, anisotropy_profile, pairwise_distances
+from .persistence import Bar, Barcode, vr_barcode_0d
 from .entropy import SelectionResult, max_feature_count, persistent_entropy, select_features
 from .regularizer import (
     EntropyLossGrad,
@@ -29,7 +22,6 @@ from .model import (
     WarmupSchedule,
     adam_step,
     backward_combined,
-    cross_entropy,
     forward,
 )
 from .harness import (
@@ -46,13 +38,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnisotropyProfile",
     "PointCloud",
-    "anisotropy",
     "anisotropy_profile",
     "pairwise_distances",
-    "singular_values",
     "Bar",
     "Barcode",
-    "cloud_barcode",
     "vr_barcode_0d",
     "SelectionResult",
     "max_feature_count",
@@ -68,7 +57,6 @@ __all__ = [
     "WarmupSchedule",
     "adam_step",
     "backward_combined",
-    "cross_entropy",
     "forward",
     "BlobSpec",
     "ExperimentConfig",

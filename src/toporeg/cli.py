@@ -13,6 +13,11 @@ directory or file that cannot be created or written), 3 too few points
 (or too few distinct points for an entropy), 4 k out of range, 5 training
 diverged (a non-finite loss or parameter).
 
+A command returns EXIT_OK or raises; ``main`` alone turns the exception
+into its exit code and one ``error:`` line on stderr.  Unreadable files
+(OSError), malformed CSVs (CloudParseError) and invalid configs
+(ConfigError) map to exit 2; every other failure carries its own code.
+
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 """
 
@@ -46,19 +51,19 @@ def _verbose() -> bool:
     return os.environ.get("TOPOREG_VERBOSE", "") not in ("", "0")
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _CommandError(Exception):
+    """A failed command: the exit code and the message ``main`` prints."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _barcode(path) -> Barcode | int:
-    """Barcode of the cloud in a CSV file, or the exit code of the error it reported."""
-    try:
-        loaded = load_cloud_csv(path)
-    except (OSError, CloudParseError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+def _barcode(path) -> Barcode:
+    """Barcode of the cloud in a CSV file."""
+    loaded = load_cloud_csv(path)
     if loaded.points.shape[0] < 2:
-        return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
+        raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
     # distances of coordinates near the float64 limit overflow to inf, which
     # vr_barcode_0d rejects; numpy's overflow warning would only repeat that
     with np.errstate(over="ignore"):
@@ -66,13 +71,11 @@ def _barcode(path) -> Barcode | int:
     try:
         return vr_barcode_0d(d)
     except ValueError as exc:
-        return _fail(EXIT_PARSE, f"{path}: pairwise distances overflow float64 ({exc})")
+        raise _CommandError(EXIT_PARSE, f"{path}: pairwise distances overflow float64 ({exc})") from None
 
 
 def cmd_barcode(args) -> int:
     barcode = _barcode(args.input)
-    if isinstance(barcode, int):
-        return barcode
     lengths, a, b = barcode.lengths(), barcode.a, barcode.b
     order = np.lexsort((b, a, -lengths))  # longest first, then by endpoints
     payload = {
@@ -86,15 +89,12 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    barcode = _barcode(args.input)
-    if isinstance(barcode, int):
-        return barcode
-    lengths = barcode.lengths()
+    lengths = _barcode(args.input).lengths()
     if not lengths.any():
-        return _fail(EXIT_TOO_FEW_POINTS, "need at least 2 distinct points for persistent entropy")
+        raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 distinct points for persistent entropy")
     payload: dict = {"n_bars": int(lengths.size)}
     if args.select == "features":
-        result = select_features(barcode)
+        result = select_features(lengths)
         payload["entropy"] = persistent_entropy(lengths[result.selected])
         payload["alpha"] = result.alpha
         payload["selected"] = result.selected
@@ -106,19 +106,15 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_anisotropy(args) -> int:
-    try:
-        loaded = load_cloud_csv(args.input)
-    except (OSError, CloudParseError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    points = loaded.points
+    points = load_cloud_csv(args.input).points
     if args.k < 1 or args.k > min(points.shape):
-        return _fail(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
+        raise _CommandError(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
     try:
         # anisotropy_profile rejects an overflowing Gram matrix; the warning would repeat that
         with np.errstate(over="ignore"):
             profile = anisotropy_profile(points, k_max=args.k, centered=args.centered)
     except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        raise _CommandError(EXIT_PARSE, str(exc)) from None
     payload = {str(k): profile.score(k) for k in range(1, args.k + 1)}
     print(dump_json(payload))
     return EXIT_OK
@@ -129,33 +125,22 @@ def cmd_train(args) -> int:
 
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}")
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise _CommandError(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}") from None
     if args.regime and isinstance(raw, dict):
         raw["regime"] = _REGIME_FLAGS[args.regime]
-    try:
-        cfg = ExperimentConfig.from_dict(raw)
-    except ConfigError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    cfg = ExperimentConfig.from_dict(raw)
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     for seed in cfg.seeds:
-        try:
-            run = run_seed(cfg, seed)
-            lines = list(run.records)
-            if run.diverged:
-                lines.append({"step": run.divergence_step, "diverged": True})
-            write_jsonl(lines, out_dir / f"metrics_seed{seed}.jsonl")
-        except (ConfigError, CloudParseError, OSError) as exc:
-            return _fail(EXIT_PARSE, str(exc))
+        run = run_seed(cfg, seed)
+        lines = list(run.records)
+        if run.diverged:
+            lines.append({"step": run.divergence_step, "diverged": True})
+        write_jsonl(lines, out_dir / f"metrics_seed{seed}.jsonl")
         runs.append(run)
         if _verbose():
             status = "diverged" if run.diverged else "ok"
@@ -168,13 +153,10 @@ def cmd_train(args) -> int:
             "seeds": [r.seed for r in healthy],
             "metrics": summarize(healthy),
         }
-        try:
-            (out_dir / "summary.json").write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
-            return _fail(EXIT_PARSE, str(exc))
+        (out_dir / "summary.json").write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
 
     if any(r.diverged for r in runs):
-        return _fail(EXIT_DIVERGED, "at least one seed diverged; partial outputs retained")
+        raise _CommandError(EXIT_DIVERGED, "at least one seed diverged; partial outputs retained")
     return EXIT_OK
 
 
@@ -211,7 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CommandError as exc:
+        code, message = exc.code, str(exc)
+    except (OSError, CloudParseError, ConfigError) as exc:
+        code, message = EXIT_PARSE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Point-cloud CSV files.
 
 Format: one row per point, D numeric coordinate columns, optional header.
-If a header is present and its last column is named ``label`` (any case),
-that column is parsed as nonnegative integer class labels; otherwise every
-column is a coordinate.  Parse errors carry 1-based row/column positions.
+Every row has as many columns as the header, or as the first row when there
+is no header.  If a header is present and its last column is named
+``label`` (any case), that column is parsed as nonnegative integer class
+labels; otherwise every column is a coordinate.  Parse errors carry 1-based
+row/column positions.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def load_cloud_csv(path) -> LoadedCloud:
             raise CloudParseError(f"{path}: header only, no data rows")
 
     has_labels = header is not None and header and header[-1].lower() == "label"
-    width = len(rows[0])
+    # a header fixes the column count; without one, the first row does
+    width = len(header) if header else len(rows[0])
     points, labels = [], []
     for r, row in enumerate(rows, start=2 if header else 1):
         if len(row) != width:

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .persistence import Barcode
-
 
 def persistent_entropy(lengths) -> float:
     """Shannon entropy (natural log) of the normalized bar lengths.
@@ -63,8 +61,8 @@ def max_feature_count(alpha: float, n: int) -> int:
 class SelectionResult:
     """Partition of a barcode into topological features and noise.
 
-    ``selected`` and ``noise`` are indices into the source barcode's bar
-    list; the longest bar is always selected.  ``q_trace`` records
+    ``selected`` and ``noise`` are indices into the bar-length array; the
+    longest bar is always selected.  ``q_trace`` records
     (iteration, Q, C) for every scan step across restarts, where C is the
     ratio of the neutralized barcode's total length to the previous one
     (the scan stops as soon as C >= 1).
@@ -141,18 +139,15 @@ def _scan(
             return m
 
 
-def select_features(barcode: Barcode | np.ndarray) -> SelectionResult:
-    """Split a barcode's bars into topological features and noise.
+def select_features(lengths) -> SelectionResult:
+    """Split a barcode's bars, given as a 1-D array of their lengths, into
+    topological features and noise.
 
-    Accepts a Barcode or a bare 1-D array of bar lengths.  The longest bar is
-    always a feature; the shortest is noise whenever the lengths are not all
-    equal.  All-equal barcodes (alpha = 1) are maximum-entropy already and are
-    returned fully selected.
+    The longest bar is always a feature; the shortest is noise whenever the
+    lengths are not all equal.  All-equal barcodes (alpha = 1) are
+    maximum-entropy already and are returned fully selected.
     """
-    if isinstance(barcode, Barcode):
-        lengths = barcode.lengths()
-    else:
-        lengths = np.asarray(barcode, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.float64)
     n = lengths.size
     if n == 0:
         raise ValueError("cannot select features of an empty barcode")

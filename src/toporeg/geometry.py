@@ -91,41 +91,12 @@ def pairwise_distances(cloud) -> np.ndarray:
     return d
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values of a matrix, sorted descending.
-
-    Computed as square roots of the eigenvalues of the Gram matrix of the
-    smaller side (m @ m.T or m.T @ m, whichever is min(N, D) square), with
-    eigenvalues clamped at zero first: Gram matrices are PSD up to round-off.
-    Returns exactly min(N, D) values; raises ValueError if the Gram matrix overflows.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    if m.shape[0] < m.shape[1]:
-        gram = m @ m.T
-    else:
-        gram = m.T @ m
-    gram = (gram + gram.T) / 2.0
-    if not np.isfinite(gram).all():
-        raise ValueError("Gram matrix overflows float64")
-    eigs = np.linalg.eigvalsh(gram)
-    eigs = np.clip(eigs, 0.0, None)
-    return np.sqrt(np.sort(eigs)[::-1])
-
-
-def anisotropy(m, k: int, centered: bool = False) -> float:
-    """k-th anisotropy score: sigma_k**2 / sum(sigma_i**2), k starting at 1."""
-    return anisotropy_profile(m, k_max=k, centered=centered).score(k)
-
-
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
     """Anisotropy scores for k = 1..k_max (default: the full spectrum).
 
     Singular values within rounding noise of the input count as zero; raises
-    ValueError when none is left (every row equal, for ``centered``).
+    ValueError when none is left (every row equal, for ``centered``), and on
+    NaN or Inf entries or a Gram matrix that overflows float64.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -136,7 +107,16 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     if not 1 <= k_max <= rank_bound:
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
     work = m - m.mean(axis=0, keepdims=True) if centered else m
-    sigma = singular_values(work)
+    if not np.isfinite(work).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    # singular values from the Gram matrix of the smaller side; it is PSD up
+    # to round-off, so eigenvalues are clamped at zero before the square root
+    gram = work @ work.T if work.shape[0] < work.shape[1] else work.T @ work
+    gram = (gram + gram.T) / 2.0
+    if not np.isfinite(gram).all():
+        raise ValueError("Gram matrix overflows float64")
+    # eigvalsh returns ascending eigenvalues, so sigma is descending
+    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1])
     # rank rule with two noise sources kept apart.  Centering error: as in
     # np.linalg.matrix_rank, a singular value at or below max(N, D) * eps
     # times sqrt(N * D) * max|m| (a bound on the Frobenius norm of the

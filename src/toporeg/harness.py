@@ -135,7 +135,12 @@ class ExperimentConfig:
         data = kwargs.get("data")
         # validate() rejects data that is neither a blob spec nor a path
         if isinstance(data, dict) and "csv" in data:
-            kwargs["data"] = str(data["csv"])
+            for key in data:
+                if key != "csv":
+                    raise ConfigError(f"data.{key}: not allowed next to data.csv")
+            if not isinstance(data["csv"], str):
+                raise ConfigError(f"data.csv: must be a file path string, got {data['csv']!r}")
+            kwargs["data"] = data["csv"]
         elif isinstance(data, dict):
             try:
                 kwargs["data"] = BlobSpec(**data)

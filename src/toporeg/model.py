@@ -105,21 +105,6 @@ def forward(mlp: MLP, batch: np.ndarray):
     return activations[-1], activations[max(last, 1)], activations
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy, log-sum-exp stabilized."""
-    labels = np.asarray(labels, dtype=np.int64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(labels.size), labels]
-    return float((log_z - picked).mean())
-
-
 @dataclass
 class ObjectiveBreakdown:
     ce: float
@@ -148,7 +133,13 @@ def backward_combined(
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ValueError("labels out of range for the logit dimension")
 
-    ce = cross_entropy(logits, labels)
+    # mean softmax cross-entropy and the softmax itself from one
+    # max-shifted exponential
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    rowsum = e.sum(axis=1, keepdims=True)
+    ce = float((np.log(rowsum[:, 0]) - shifted[rows, labels]).mean())
 
     ent = 0.0
     ent_grad = None
@@ -158,9 +149,9 @@ def backward_combined(
         reg = per_class_entropy_loss(reps, labels, mode)
         ent, ent_grad = reg.value, reg.grad
 
-    probs = softmax(logits)
+    probs = e / rowsum
     one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), labels] = 1.0
+    one_hot[rows, labels] = 1.0
     delta = (probs - one_hot) / n  # d(total)/d(logits)
 
     grad = np.empty_like(mlp.params)

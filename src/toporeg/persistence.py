@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pairwise_distances
-
 
 @dataclass
 class Bar:
@@ -142,8 +140,3 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     b = np.maximum(heads, tails)
     order = np.lexsort((b, a, lengths))  # last key is primary
     return Barcode(lengths[order], a[order], b[order])
-
-
-def cloud_barcode(cloud) -> Barcode:
-    """Barcode of a point cloud under the Euclidean metric."""
-    return vr_barcode_0d(pairwise_distances(cloud))

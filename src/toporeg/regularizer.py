@@ -59,7 +59,7 @@ def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> En
     barcode = vr_barcode_0d(pairwise_distances(pc))
     lengths, a, b = barcode.lengths(), barcode.a, barcode.b
     if mode is SelectionMode.SELECTED_BARS:
-        active = select_features(barcode).selected
+        active = select_features(lengths).selected
         lengths, a, b = lengths[active], a[active], b[active]
 
     grad = np.zeros_like(x)

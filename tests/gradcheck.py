@@ -28,7 +28,7 @@ def discrete_structure(points: np.ndarray, mode: SelectionMode):
     barcode = vr_barcode_0d(pairwise_distances(points))
     edges = tuple(sorted((b.endpoint_a, b.endpoint_b) for b in barcode.bars))
     if mode is SelectionMode.SELECTED_BARS:
-        active = tuple(select_features(barcode).selected)
+        active = tuple(select_features(barcode.lengths()).selected)
     else:
         active = tuple(range(len(barcode.bars)))
     return edges, active

@@ -155,6 +155,22 @@ class TestUnreadableClouds:
         assert_one_error_line(captured)
         assert "binary.csv" in captured.err and "UTF-8" in captured.err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,y,label\n1.5,2\n3,4\n",  # once read as 1-D points with labels
+            "x,y\n1,2,3\n4,5,6\n",  # once read as 3-D points
+        ],
+        ids=["label_header_over_two_columns", "two_column_header_over_three"],
+    )
+    @pytest.mark.parametrize("command", ["barcode", "entropy", "anisotropy"])
+    def test_rows_must_match_the_header_width(self, tmp_path, capsys, command, text):
+        path = write_csv(tmp_path / "cloud.csv", text)
+        assert main([command, path, *(["--k", "1"] if command == "anisotropy" else [])]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "(row 2)" in captured.err
+
 
 class TestAnisotropyCommand:
     def test_rank_one_cloud(self, tmp_path, capsys):
@@ -273,6 +289,9 @@ class TestTrainCommand:
             (dict(hidden_dims=[8, False]), "hidden_dims"),
             (dict(seeds=[-1]), "seeds"),
             (dict(data={"n_per_class": 40, "spread": 1e308}), "data.spread"),
+            (dict(data={"csv": 5}), "data.csv"),
+            (dict(data={"csv": ["a"]}), "data.csv"),
+            (dict(data={"csv": "cloud.csv", "n_per_class": 40}), "data.n_per_class"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -292,6 +311,14 @@ class TestTrainCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith(f"error: {path}: invalid JSON:")
 
     def test_seeds_run_in_config_order(self, tmp_path):
         cfg = train_config(tmp_path, seeds=[3, 1], epochs=4)

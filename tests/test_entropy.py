@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toporeg.entropy import max_feature_count, persistent_entropy, select_features
-from toporeg.persistence import cloud_barcode
 
 from alg1_reference import reference_feature_lengths
 from oracles import entropy_formula
@@ -184,12 +183,6 @@ class TestSelectFeatures:
         assert res.q_trace, "expected per-iteration diagnostics"
         for i, q, c in res.q_trace:
             assert i >= 1 and q >= 0 and c > 0
-
-    def test_barcode_object_input(self):
-        rng = np.random.default_rng(3)
-        bc = cloud_barcode(rng.normal(size=(9, 3)))
-        res = select_features(bc)
-        assert sorted(res.selected + res.noise) == list(range(8))
 
     def test_empty_barcode_rejected(self):
         with pytest.raises(ValueError):

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toporeg.geometry import (
-    PointCloud,
-    anisotropy,
-    anisotropy_profile,
-    pairwise_distances,
-    singular_values,
-)
+from toporeg.geometry import PointCloud, anisotropy_profile, pairwise_distances
 
 from oracles import scalar_distance_matrix
 
 
 def reference_singular_values(m):
     """Independent oracle: LAPACK SVD of the matrix itself (gesdd), not the
-    symmetric eigensolver on its Gram matrix that singular_values uses."""
+    symmetric eigensolver on its Gram matrix that anisotropy_profile uses."""
     return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
+
+
+def reference_scores(m):
+    """Anisotropy scores sigma_k**2 / sum(sigma_i**2) from the SVD oracle."""
+    sv = reference_singular_values(m)
+    return sv**2 / (sv**2).sum()
 
 
 class TestPointCloud:
@@ -69,44 +69,50 @@ class TestPairwiseDistances:
 
 
 class TestSingularValues:
+    """The singular values inside anisotropy_profile, checked through its
+    scores against the SVD oracle."""
+
     def test_diagonal_matrix(self):
-        np.testing.assert_allclose(singular_values(np.diag([3.0, 4.0])), [4.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(
+            anisotropy_profile(np.diag([3.0, 4.0])).scores, reference_scores(np.diag([3.0, 4.0])), atol=1e-14
+        )
 
     def test_rank_one_outer_product(self):
         u = np.array([1.0, 2.0, 2.0]) / 3.0
         v = np.array([0.6, 0.8])
-        sv = singular_values(7.0 * np.outer(u, v))
-        # a zero singular value of a squared Gram resolves to ~sqrt(eps)*sigma_max
-        np.testing.assert_allclose(sv, [7.0, 0.0], atol=1e-6)
+        m = 7.0 * np.outer(u, v)
+        # a zero singular value of a squared Gram resolves to ~sqrt(eps)*sigma_max,
+        # which the rank rule zeroes
+        np.testing.assert_allclose(anisotropy_profile(m).scores, reference_scores(m), atol=1e-6)
+        np.testing.assert_array_equal(anisotropy_profile(m).scores, [1.0, 0.0])
 
     def test_matches_reference_eigensolver(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(8, 5))
-        mine = singular_values(m)
-        ref = reference_singular_values(m)
-        np.testing.assert_allclose(mine, ref, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(anisotropy_profile(m).scores, reference_scores(m), rtol=1e-8, atol=1e-10)
 
     def test_wide_matrix_returns_min_side(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(3, 9))
-        sv = singular_values(m)
-        assert sv.shape == (3,)
-        np.testing.assert_allclose(sv, reference_singular_values(m), rtol=1e-8, atol=1e-10)
+        scores = anisotropy_profile(m).scores
+        assert scores.shape == (3,)
+        np.testing.assert_allclose(scores, reference_scores(m), rtol=1e-8, atol=1e-10)
 
     def test_descending_and_nonnegative(self):
         rng = np.random.default_rng(3)
-        sv = singular_values(rng.normal(size=(10, 4)))
-        assert (sv >= 0).all()
-        assert (np.diff(sv) <= 1e-12).all()
+        scores = anisotropy_profile(rng.normal(size=(10, 4))).scores
+        assert (scores >= 0).all()
+        assert (np.diff(scores) <= 1e-12).all()
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            singular_values(np.array([[1.0, np.nan]]))
+        for centered in (False, True):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                anisotropy_profile(np.array([[1.0, np.nan], [2.0, 3.0]]), centered=centered)
 
     def test_rejects_overflowing_gram_matrix(self):
         # every entry is finite, but their squares are not
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="Gram"):
-            singular_values(np.array([[1e308, 0.0], [0.0, 1.0]]))
+            anisotropy_profile(np.array([[1e308, 0.0], [0.0, 1.0]]))
 
 
 class TestAnisotropy:
@@ -114,12 +120,12 @@ class TestAnisotropy:
         # orthogonal matrix: all singular values equal 1
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
         for k in range(1, 5):
-            assert anisotropy(q, k) == pytest.approx(0.25, abs=1e-12)
+            assert anisotropy_profile(q, k_max=k).score(k) == pytest.approx(0.25, abs=1e-12)
 
     def test_diagonal_case(self):
         m = np.diag([3.0, 4.0])
-        assert anisotropy(m, 1) == pytest.approx(16 / 25, abs=1e-14)
-        assert anisotropy(m, 2) == pytest.approx(9 / 25, abs=1e-14)
+        assert anisotropy_profile(m, k_max=1).score(1) == pytest.approx(16 / 25, abs=1e-14)
+        assert anisotropy_profile(m, k_max=2).score(2) == pytest.approx(9 / 25, abs=1e-14)
         # identical rows have rank one: the Gram matrix's zero eigenvalues
         # come back as rounding noise, whose square roots must still score 0
         rank_one = np.tile([0.3, -1.2, 2.5, 0.7], (16, 1))
@@ -128,17 +134,16 @@ class TestAnisotropy:
     def test_matches_oracle_on_random_matrix(self):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(64, 16))
-        ref = reference_singular_values(m)
-        ref_scores = ref**2 / (ref**2).sum()
+        ref_scores = reference_scores(m)
         for k in (1, 5, 16):
-            assert anisotropy(m, k) == pytest.approx(ref_scores[k - 1], rel=1e-8)
+            assert anisotropy_profile(m, k_max=k).score(k) == pytest.approx(ref_scores[k - 1], rel=1e-8)
 
     def test_centered_equals_covariance_eigenvalue_share(self):
         rng = np.random.default_rng(17)
         m = rng.normal(size=(40, 6)) + 3.0
         eigs = np.sort(np.linalg.eigvalsh(np.cov(m, rowvar=False)))[::-1]
         share = eigs / eigs.sum()
-        assert anisotropy(m, 1, centered=True) == pytest.approx(share[0], rel=1e-8)
+        assert anisotropy_profile(m, k_max=1, centered=True).score(1) == pytest.approx(share[0], rel=1e-8)
 
     def test_centered_offset_cloud_keeps_its_directions(self):
         # a large offset makes max|m| huge next to the centered spread; the
@@ -152,28 +157,20 @@ class TestAnisotropy:
         assert (scores > 0.3).all()
         np.testing.assert_allclose(scores, share, rtol=1e-8)
 
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_equals_profile_score_bitwise(self, centered):
-        rng = np.random.default_rng(29)
-        m = rng.normal(size=(32, 16)) + 0.5
-        for k in (1, 2, 3, 16):
-            profile = anisotropy_profile(m, k_max=k, centered=centered)
-            assert anisotropy(m, k, centered=centered) == profile.score(k)
-
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            anisotropy(np.ones((3, 2)), 3)
+            anisotropy_profile(np.ones((3, 2)), k_max=3)
         with pytest.raises(ValueError):
-            anisotropy(np.ones((3, 2)), 0)
+            anisotropy_profile(np.ones((3, 2)), k_max=0)
 
     def test_zero_matrix_is_undefined(self):
         with pytest.raises(ValueError):
-            anisotropy(np.zeros((4, 3)), 1)
+            anisotropy_profile(np.zeros((4, 3)), k_max=1)
 
     def test_overflowing_spectrum_is_undefined(self):
         # the Gram matrix diag(7e307, 7e307, 7e307) is finite, its trace is not
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-            anisotropy(np.sqrt(7e307) * np.eye(3), 1)
+            anisotropy_profile(np.sqrt(7e307) * np.eye(3), k_max=1)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -183,9 +180,9 @@ class TestAnisotropy:
         m = rng.normal(size=(n, dim))
         c = float(rng.uniform(0.01, 100.0)) * (-1 if seed % 2 else 1)
         k = int(rng.integers(1, min(n, dim) + 1))
-        base = anisotropy(m, k)
-        assert anisotropy(c * m, k) == pytest.approx(base, abs=1e-9)
-        assert anisotropy(m[rng.permutation(n)], k) == pytest.approx(base, abs=1e-9)
+        base = anisotropy_profile(m, k_max=k).score(k)
+        assert anisotropy_profile(c * m, k_max=k).score(k) == pytest.approx(base, abs=1e-9)
+        assert anisotropy_profile(m[rng.permutation(n)], k_max=k).score(k) == pytest.approx(base, abs=1e-9)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -9,9 +9,7 @@ from toporeg.model import (
     WarmupSchedule,
     adam_step,
     backward_combined,
-    cross_entropy,
     forward,
-    softmax,
 )
 from toporeg.regularizer import SelectionMode
 
@@ -31,9 +29,13 @@ class TestForward:
         batch = np.random.default_rng(1).normal(size=(6, 3))
         logits, _, _ = forward(mlp, batch)
         np.testing.assert_array_equal(logits, 0.0)
-        np.testing.assert_allclose(softmax(logits), 0.5, atol=1e-15)
-        labels = np.array([0, 1, 0, 1, 1, 0])
-        assert cross_entropy(logits, labels) == pytest.approx(math.log(2), abs=1e-12)
+        labels = np.array([0, 1, 0, 0, 1, 0])  # unbalanced, so the bias gradient is not zero
+        breakdown, grad = backward_combined(mlp, batch, labels, mode=None)
+        assert breakdown.ce == pytest.approx(math.log(2), abs=1e-12)
+        # uniform softmax: d(ce)/d(output bias) = mean(0.5 - onehot)
+        onehot = np.eye(2)[labels]
+        output_bias_grad = MLP(mlp.dims, grad).biases[-1]
+        np.testing.assert_allclose(output_bias_grad, (0.5 - onehot).mean(axis=0), atol=1e-15)
 
     def test_identity_single_layer(self):
         mlp = MLP.init([4, 4], np.random.default_rng(0))

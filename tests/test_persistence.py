@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toporeg.geometry import pairwise_distances
-from toporeg.persistence import Bar, Barcode, cloud_barcode, vr_barcode_0d
+from toporeg.persistence import Bar, Barcode, vr_barcode_0d
 
 from oracles import all_spanning_trees, kruskal_bars, prim_mst_weight, single_linkage_heights
 
@@ -17,7 +17,7 @@ class TestBarcode:
 
     def test_four_collinear_points(self):
         x = np.array([[0.0], [1.0], [3.0], [7.0]])
-        bc = cloud_barcode(x)
+        bc = vr_barcode_0d(pairwise_distances(x))
         assert sorted(b.length for b in bc.bars) == [1.0, 2.0, 4.0]
 
     def test_collinear_mst_is_global_minimum_over_all_trees(self):
@@ -41,7 +41,7 @@ class TestBarcode:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33, 64])
     def test_cardinality_is_n_minus_one(self, n):
         rng = np.random.default_rng(n)
-        bc = cloud_barcode(rng.normal(size=(n, 3)))
+        bc = vr_barcode_0d(pairwise_distances(rng.normal(size=(n, 3))))
         assert len(bc.bars) == n - 1
         assert bc.n_points == n
 
@@ -56,9 +56,9 @@ class TestBarcode:
     def test_duplicate_point_adds_one_zero_bar(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 2))
-        base = sorted(cloud_barcode(x).lengths())
+        base = sorted(vr_barcode_0d(pairwise_distances(x)).lengths())
         dup = np.vstack([x, x[2]])
-        got = sorted(cloud_barcode(dup).lengths())
+        got = sorted(vr_barcode_0d(pairwise_distances(dup)).lengths())
         assert len(got) == len(base) + 1
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], base, atol=1e-12)
@@ -66,9 +66,9 @@ class TestBarcode:
     def test_length_multiset_invariant_under_relabeling(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(10, 3))
-        base = sorted(cloud_barcode(x).lengths())
+        base = sorted(vr_barcode_0d(pairwise_distances(x)).lengths())
         perm = rng.permutation(10)
-        got = sorted(cloud_barcode(x[perm]).lengths())
+        got = sorted(vr_barcode_0d(pairwise_distances(x[perm])).lengths())
         np.testing.assert_allclose(got, base, atol=1e-12)
 
     def test_bar_length_equals_matrix_entry_exactly(self):
@@ -80,7 +80,7 @@ class TestBarcode:
 
     def test_edges_form_spanning_tree(self):
         rng = np.random.default_rng(5)
-        bc = cloud_barcode(rng.normal(size=(12, 2)))
+        bc = vr_barcode_0d(pairwise_distances(rng.normal(size=(12, 2))))
         neighbors = {i: set() for i in range(12)}
         for bar in bc.bars:
             neighbors[bar.endpoint_a].add(bar.endpoint_b)
@@ -96,7 +96,7 @@ class TestBarcode:
     def test_deterministic_tie_break(self):
         # unit square: four exactly-tied unit edges; lexicographic order wins
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        bc = cloud_barcode(square)
+        bc = vr_barcode_0d(pairwise_distances(square))
         assert [(b.endpoint_a, b.endpoint_b) for b in bc.bars] == [(0, 1), (0, 2), (1, 3)]
         assert all(b.length == 1.0 for b in bc.bars)
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toporeg.entropy import select_features
-from toporeg.persistence import cloud_barcode
+from toporeg.geometry import pairwise_distances
+from toporeg.persistence import vr_barcode_0d
 from toporeg.regularizer import (
     EPS,
     SelectionMode,
@@ -62,9 +63,7 @@ class TestEntropyLossValueAndGrad:
         cloud = np.array([[0.0, 0.0], [0.4, 0.0], [30.0, 0.0], [30.0, 0.3], [30.3, 0.0]])
         res = entropy_loss_grad(cloud, SelectionMode.SELECTED_BARS)
         _, active = discrete_structure(cloud, SelectionMode.SELECTED_BARS)
-        from toporeg.persistence import cloud_barcode
-
-        bars = cloud_barcode(cloud).bars
+        bars = vr_barcode_0d(pairwise_distances(cloud)).bars
         touched = set()
         for idx in active:
             touched |= {bars[idx].endpoint_a, bars[idx].endpoint_b}
@@ -90,12 +89,12 @@ class TestScatterMatchesPerBarLoop:
         rows = np.vstack([hub, rng.normal(scale=3.0, size=(n_distinct, dim))])
         x = np.vstack([rows, rows[rng.integers(0, len(rows), size=n_copies)]])
 
-        barcode = cloud_barcode(x)
+        barcode = vr_barcode_0d(pairwise_distances(x))
         assert (barcode.lengths() == 0.0).any()
         assert np.bincount(np.concatenate([barcode.a, barcode.b])).max() >= 2
         active = range(barcode.lengths().size)
         if mode is SelectionMode.SELECTED_BARS:
-            active = select_features(barcode).selected
+            active = select_features(barcode.lengths()).selected
         all_bars = barcode.bars
         bars = [(all_bars[i].length, all_bars[i].endpoint_a, all_bars[i].endpoint_b) for i in active]
 
