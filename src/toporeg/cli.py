@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,13 +130,18 @@ def cmd_train(args) -> int:
     if args.regime and isinstance(raw, dict):
         raw["regime"] = _REGIME_FLAGS[args.regime]
     cfg = ExperimentConfig.from_dict(raw)
+    # a relative data.csv names a file beside the config, wherever train runs;
+    # the summary keeps the path as the config wrote it
+    run_cfg = cfg
+    if isinstance(cfg.data, str):
+        run_cfg = replace(cfg, data=str(Path(args.config).parent / cfg.data))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     for seed in cfg.seeds:
-        run = run_seed(cfg, seed)
+        run = run_seed(run_cfg, seed)
         lines = list(run.records)
         if run.diverged:
             lines.append({"step": run.divergence_step, "diverged": True})

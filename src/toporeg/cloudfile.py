@@ -4,16 +4,20 @@ Format: one row per point, D numeric coordinate columns, optional header.
 Every row has as many columns as the header, or as the first row when there
 is no header.  If a header is present and its last column is named
 ``label`` (any case), that column is parsed as nonnegative integer class
-labels; otherwise every column is a coordinate.  Parse errors carry 1-based
-row/column positions.
+labels; otherwise every column is a coordinate.  Every parse error starts
+with ``<path>: `` and names the earliest bad row; a cell error also names
+the cell by 1-based row and column.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
 class CloudParseError(Exception):
@@ -59,37 +63,46 @@ def load_cloud_csv(path) -> LoadedCloud:
     has_labels = header is not None and header and header[-1].lower() == "label"
     # a header fixes the column count; without one, the first row does
     width = len(header) if header else len(rows[0])
-    points, labels = [], []
-    for r, row in enumerate(rows, start=2 if header else 1):
-        if len(row) != width:
-            raise CloudParseError(
-                f"expected {width} columns, found {len(row)}", row=r
+    n_coords = width - 1 if has_labels else width
+    # one float()/int() per cell and one finiteness check; the cells keep their
+    # strip() because float() and int() do not skip the \x1c-\x1f separators
+    # that str.strip() removes
+    try:
+        if n_coords and all(len(row) == width for row in rows):
+            points = np.array(
+                [list(map(float, map(str.strip, row[:n_coords]))) for row in rows], dtype=np.float64
             )
+            labels = np.array([int(row[-1].strip()) for row in rows], dtype=np.int64) if has_labels else None
+            if np.isfinite(points).all() and (labels is None or (labels >= 0).all()):
+                return LoadedCloud(points=points, labels=labels)
+    except (ValueError, OverflowError):  # OverflowError: a label beyond int64
+        pass
+    raise _first_error(path, rows, 2 if header else 1, width, has_labels)
+
+
+def _first_error(path, rows, first_row: int, width: int, has_labels: bool) -> CloudParseError:
+    """The error of the earliest bad row, found cell by cell: in each row the
+    width, then the coordinates left to right, then the label."""
+    for r, row in enumerate(rows, start=first_row):
+        if len(row) != width:
+            return CloudParseError(f"{path}: expected {width} columns, found {len(row)}", row=r)
         coord_cells = row[:-1] if has_labels else row
-        coords = []
         for c, cell in enumerate(coord_cells, start=1):
             token = cell.strip()
             try:
                 value = float(token)
             except ValueError:
-                raise CloudParseError(f"cannot parse {token!r} as a number", row=r, column=c) from None
-            if not np.isfinite(value):
-                raise CloudParseError(f"non-finite coordinate {token!r}", row=r, column=c)
-            coords.append(value)
-        if not coords:
-            raise CloudParseError("row has no coordinate columns", row=r)
-        points.append(coords)
+                return CloudParseError(f"{path}: cannot parse {token!r} as a number", row=r, column=c)
+            if not math.isfinite(value):
+                return CloudParseError(f"{path}: non-finite coordinate {token!r}", row=r, column=c)
+        if not coord_cells:
+            return CloudParseError(f"{path}: row has no coordinate columns", row=r)
         if has_labels:
             token = row[-1].strip()
             try:
                 label = int(token)
             except ValueError:
-                raise CloudParseError(f"cannot parse label {token!r} as an integer", row=r, column=width) from None
-            if label < 0:
-                raise CloudParseError(f"labels must be nonnegative, got {label}", row=r, column=width)
-            labels.append(label)
-
-    return LoadedCloud(
-        points=np.array(points, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64) if has_labels else None,
-    )
+                return CloudParseError(f"{path}: cannot parse label {token!r} as an integer", row=r, column=width)
+            if not 0 <= label <= _LABEL_MAX:
+                bound = "nonnegative" if label < 0 else f"at most {_LABEL_MAX}"
+                return CloudParseError(f"{path}: labels must be {bound}, got {label}", row=r, column=width)

@@ -11,6 +11,10 @@ k = 1 means the rows concentrate along a single direction.  With ``centered``
 the column mean is subtracted first, which turns the scores into normalized
 eigenvalues of the covariance matrix.
 
+Pairwise distances are computed for the upper triangle only, in blocks of
+rows that share one difference buffer, and mirrored below the diagonal;
+the mirror is exact, so the matrix is exactly symmetric.
+
 Singular values are computed from the Gram matrix of the smaller side with
 LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), which returns the
 values without forming singular vectors and costs one small symmetric
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pairwise_distances fills max(1, PAIRS_PER_SLICE // N) rows at a time: a
-# block of rows x N pairs (a single row once N exceeds this), so its
-# difference temporary holds about PAIRS_PER_SLICE x D values
+# pairwise_distances fills max(1, PAIRS_PER_SLICE // N) rows at a time (a
+# single row once N exceeds this); its one difference buffer, reused by every
+# block, holds at most about PAIRS_PER_SLICE x D values
 PAIRS_PER_SLICE = 65536
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -75,19 +79,27 @@ def as_cloud(cloud) -> PointCloud:
 def pairwise_distances(cloud) -> np.ndarray:
     """Euclidean distance matrix of a point cloud.
 
-    Rows are filled in blocks of ``max(1, PAIRS_PER_SLICE // N)``, so the
-    difference temporary holds at most about PAIRS_PER_SLICE x D elements.
-    Every entry sums its squared coordinate differences in the same fixed
-    order, and a - b = -(b - a) exactly in IEEE arithmetic, so the result is
-    exactly symmetric with a zero diagonal and bitwise deterministic.
+    Rows are filled in blocks of ``max(1, PAIRS_PER_SLICE // N)``.  Block
+    [lo, hi) computes only the upper-triangle columns lo: and mirrors its
+    rows below the diagonal into columns lo:hi, so each pair is computed
+    once.  Every block's differences go into the leading part of one buffer
+    of at most about PAIRS_PER_SLICE x D elements, allocated once.  Every
+    entry sums its squared coordinate differences in the same fixed order,
+    and a - b = -(b - a) exactly in IEEE arithmetic, so the result is exactly
+    symmetric with a zero diagonal, bitwise equal to computing both
+    triangles, and bitwise deterministic.
     """
     x = as_cloud(cloud).data
-    n = x.shape[0]
+    n, dim = x.shape
     d = np.empty((n, n), dtype=np.float64)
     rows = max(1, PAIRS_PER_SLICE // n)
+    buf = np.empty(min(n, rows) * n * dim, dtype=np.float64)
     for lo in range(0, n, rows):
-        diff = x[lo : lo + rows, None, :] - x[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo : lo + rows])
+        hi = min(lo + rows, n)
+        diff = buf[: (hi - lo) * (n - lo) * dim].reshape(hi - lo, n - lo, dim)
+        np.subtract(x[lo:hi, None, :], x[None, lo:, :], out=diff)
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo:hi, lo:])
+        d[hi:, lo:hi] = d[lo:hi, hi:].T
     return d
 
 

@@ -7,6 +7,7 @@ bug has to appear twice (and identically) to go unnoticed.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -25,6 +26,92 @@ def scalar_distance_matrix(points) -> np.ndarray:
                 acc += (a - b) ** 2
             d[i][j] = math.sqrt(acc)
     return np.array(d)
+
+
+def rowwise_distance_matrix(points) -> np.ndarray:
+    """Distances one row at a time over every column, both triangles.
+
+    Each entry is the same ``einsum`` of squared coordinate differences as
+    a full row-block fill, so a blocked, mirrored fill must match it bitwise.
+    """
+    x = np.asarray(points, dtype=float)
+    d = np.empty((x.shape[0], x.shape[0]))
+    for i in range(x.shape[0]):
+        diff = x[i] - x
+        d[i] = np.sqrt(np.einsum("jk,jk->j", diff, diff))
+    return d
+
+
+class CsvCellError(ValueError):
+    """A per-cell CSV parse error with its 1-based row and column."""
+
+    def __init__(self, message, row=None, column=None):
+        where = ""
+        if row is not None:
+            where = f" (row {row}" + (f", column {column})" if column is not None else ")")
+        super().__init__(message + where)
+        self.row = row
+        self.column = column
+
+
+def per_cell_cloud_csv(path):
+    """Point-cloud CSV parsed cell by cell: (points, labels or None).
+
+    Strips and converts one cell at a time and checks each coordinate's
+    finiteness as it goes, so the first error raised (CsvCellError, which
+    starts with ``<path>: ``) belongs to the earliest bad row, and within it
+    to the width check, then the coordinates left to right, then the label.
+    """
+
+    def is_float(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise CsvCellError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if not rows:
+        raise CsvCellError(f"{path}: no data rows")
+    header = None
+    if any(not is_float(cell.strip()) for cell in rows[0]):
+        header = [cell.strip() for cell in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise CsvCellError(f"{path}: header only, no data rows")
+    has_labels = bool(header) and header[-1].lower() == "label"
+    width = len(header) if header else len(rows[0])
+    points, labels = [], []
+    for r, row in enumerate(rows, start=2 if header else 1):
+        if len(row) != width:
+            raise CsvCellError(f"{path}: expected {width} columns, found {len(row)}", row=r)
+        coords = []
+        for c, cell in enumerate(row[:-1] if has_labels else row, start=1):
+            token = cell.strip()
+            try:
+                value = float(token)
+            except ValueError:
+                raise CsvCellError(f"{path}: cannot parse {token!r} as a number", row=r, column=c) from None
+            if not math.isfinite(value):
+                raise CsvCellError(f"{path}: non-finite coordinate {token!r}", row=r, column=c)
+            coords.append(value)
+        if not coords:
+            raise CsvCellError(f"{path}: row has no coordinate columns", row=r)
+        points.append(coords)
+        if has_labels:
+            token = row[-1].strip()
+            try:
+                label = int(token)
+            except ValueError:
+                raise CsvCellError(f"{path}: cannot parse label {token!r} as an integer", row=r, column=width) from None
+            if label < 0:
+                raise CsvCellError(f"{path}: labels must be nonnegative, got {label}", row=r, column=width)
+            labels.append(label)
+    return np.array(points, dtype=np.float64), (np.array(labels, dtype=np.int64) if has_labels else None)
 
 
 def single_linkage_heights(dist) -> list[float]:

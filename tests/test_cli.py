@@ -56,6 +56,7 @@ class TestBarcodeCommand:
         path = write_csv(tmp_path / "bad.csv", "0,0\n1,abc\n")
         assert main(["barcode", path]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
         assert "abc" in err and "row 2" in err and "column 2" in err
 
     def test_single_point_exits_3(self, tmp_path, capsys):
@@ -366,17 +367,40 @@ class TestTrainCommand:
         assert json.loads(lines[-1]) == {"step": 5, "diverged": True}
 
     def test_csv_dataset_via_config(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = ["x0,x1,x2,x3,label"]
-        for i in range(80):
-            c = i % 2
-            point = rng.normal(size=4) + (3.0 if c else -3.0)
-            rows.append(",".join(f"{float(v)!r}" for v in point) + f",{c}")
-        data = write_csv(tmp_path / "data.csv", "\n".join(rows) + "\n")
+        data = write_csv(tmp_path / "data.csv", two_class_csv_text())
         cfg = train_config(tmp_path, data={"csv": data})
         out = tmp_path / "runs"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+    def test_relative_csv_path_resolves_against_the_config(self, tmp_path, monkeypatch):
+        write_csv(tmp_path / "data.csv", two_class_csv_text())
+        cfg = train_config(tmp_path, data={"csv": "data.csv"})
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["train", "--config", cfg, "--out", "runs"]) == 0
+        summary = json.loads((elsewhere / "runs" / "summary.json").read_text())
+        assert summary["config"]["data"] == "data.csv"  # as the config wrote it
+
+    def test_bad_training_csv_names_the_file(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "data.csv", "x,label\n1,0\n2,one\n")
+        cfg = train_config(tmp_path, data={"csv": data})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith(f"error: {data}: cannot parse label 'one' as an integer (row 3, column 2)")
+
+
+def two_class_csv_text():
+    """80 labelled points in two well-separated classes, with a header."""
+    rng = np.random.default_rng(0)
+    rows = ["x0,x1,x2,x3,label"]
+    for i in range(80):
+        c = i % 2
+        point = rng.normal(size=4) + (3.0 if c else -3.0)
+        rows.append(",".join(f"{float(v)!r}" for v in point) + f",{c}")
+    return "\n".join(rows) + "\n"
 
 
 # --- fuzzing: any input ends in a documented exit code with at most one error line

@@ -1,0 +1,115 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toporeg.cloudfile import CloudParseError, load_cloud_csv
+
+from oracles import CsvCellError, per_cell_cloud_csv
+
+# whitespace that str.strip() removes around a cell; \x1c-\x1f are separators
+# that float() and int() would reject unstripped
+PADDING = ["", " ", "  ", "\t", " \t ", "\x1c", "\x1f", "\xa0"]
+NON_FINITE = ["inf", "-inf", "nan", "NaN", "Infinity", "-INF", "1e400", "-1e999"]
+MALFORMED = ["", "abc", "1.2.3", "0x1", "--1", "1e", "e5", "1,5", "1 2", "+-3", "١x"]
+LABELS = ["0", "1", "2", "+3", "007", "-0", "1_0"]
+BAD_LABELS = ["-1", "x", "1.5", "", "1e2", "٣x"]
+
+
+def number_cells():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        finite.map(repr),  # shortest round-trip form, up to 17 significant digits
+        finite.map(lambda v: f"{v:.17g}"),
+        finite.map(lambda v: f"{v:.6e}"),
+        finite.map(lambda v: f"{v:E}"),
+        st.sampled_from(["1e5", "-2.5E-3", "1_000.5", "0", "-0", "+.5", "5.", "1e-320", "١٢"]),
+    )
+
+
+@st.composite
+def cells(draw, kind):
+    """One coordinate or label cell, good or bad, padded and sometimes quoted."""
+    token = {
+        "number": number_cells(),
+        "bad": st.sampled_from(NON_FINITE + MALFORMED),
+        "label": st.sampled_from(LABELS),
+        "bad_label": st.sampled_from(BAD_LABELS),
+    }[kind]
+    token = draw(token)
+    token = draw(st.sampled_from(PADDING)) + token + draw(st.sampled_from(PADDING))
+    if draw(st.integers(0, 4)) == 0 or "," in token:
+        token = '"' + token + '"'
+    return token
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with a header or none, a label column or none, ragged rows,
+    blank lines and bad cells scattered over several rows."""
+    width = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    header = draw(st.sampled_from(["none"] * 3 + ["plain"] * 2 + ["label"] * 4 + ["wrong_width"]))
+    has_labels = header == "label"
+    lines = []
+    if header != "none":
+        names = [f" x{i} " for i in range(width + (header == "wrong_width"))]
+        if has_labels:
+            names[-1] = draw(st.sampled_from(["label", " Label", "LABEL "]))
+        lines.append(",".join(names))
+    bad_rate = draw(st.sampled_from([0, 0, 2, 5, 15]))  # chance in 100 that a cell is bad
+    for _ in range(draw(st.integers(0, 16))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ", ,", "\t"])))
+            continue
+        n_cells = width
+        if bad_rate and draw(st.integers(0, 299)) < bad_rate:
+            n_cells = draw(st.sampled_from([width + 1, max(width - 1, 0)]))
+        row = []
+        for c in range(n_cells):
+            bad = bad_rate and draw(st.integers(0, 99)) < bad_rate
+            if has_labels and c == width - 1:
+                row.append(draw(cells("bad_label" if bad else "label")))
+            else:
+                row.append(draw(cells("bad" if bad else "number")))
+        lines.append(",".join(row))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestBulkParse:
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts())
+    def test_matches_per_cell_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "cloud.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            points, labels = per_cell_cloud_csv(path)
+        except CsvCellError as expected:
+            with pytest.raises(CloudParseError) as info:
+                load_cloud_csv(path)
+            assert str(info.value) == str(expected)
+            assert (info.value.row, info.value.column) == (expected.row, expected.column)
+            return
+        loaded = load_cloud_csv(path)
+        assert loaded.points.dtype == np.float64 and loaded.points.shape == points.shape
+        assert loaded.points.tobytes() == points.tobytes()  # bitwise, so -0.0 stays -0.0
+        if labels is None:
+            assert loaded.labels is None
+        else:
+            assert loaded.labels.dtype == np.int64 and np.array_equal(loaded.labels, labels)
+
+    def test_errors_start_with_the_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,label\n1,2,0\n3,inf,1\n4,oops,1\n", encoding="utf-8")
+        with pytest.raises(CloudParseError) as info:
+            load_cloud_csv(path)
+        assert str(info.value) == f"{path}: non-finite coordinate 'inf' (row 3, column 2)"
+
+    @pytest.mark.parametrize("label", ["9223372036854775808", "-9223372036854775809"])
+    def test_label_beyond_int64_names_its_cell(self, tmp_path, label):
+        path = tmp_path / "big.csv"
+        path.write_text(f"x,label\n1,0\n2,{label}\n", encoding="utf-8")
+        with pytest.raises(CloudParseError) as info:
+            load_cloud_csv(path)
+        assert (info.value.row, info.value.column) == (3, 2)
+        assert str(info.value).startswith(f"{path}: labels must be ")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toporeg.geometry as geometry
 from toporeg.geometry import PointCloud, anisotropy_profile, pairwise_distances
 
-from oracles import scalar_distance_matrix
+from oracles import rowwise_distance_matrix, scalar_distance_matrix
 
 
 def reference_singular_values(m):
@@ -49,6 +50,21 @@ class TestPairwiseDistances:
         x = rng.normal(size=(6, 3))
         d = pairwise_distances(x)
         np.testing.assert_allclose(d, scalar_distance_matrix(x), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,pairs_per_slice",
+        [(300, None), (363, None), (2048, None), (70, 256)],
+        ids=["two_blocks", "ragged_last_block", "64_blocks", "ragged_small_blocks"],
+    )
+    def test_block_fill_matches_rowwise_oracle(self, monkeypatch, n, pairs_per_slice):
+        # n <= 12 below is a single block; these sizes fill and mirror many
+        if pairs_per_slice is not None:
+            monkeypatch.setattr(geometry, "PAIRS_PER_SLICE", pairs_per_slice)
+        x = np.random.default_rng(n).normal(scale=3.0, size=(n, 16))
+        d = pairwise_distances(x)
+        assert np.array_equal(d, rowwise_distance_matrix(x))
+        assert np.array_equal(d, d.T)
+        assert not np.diagonal(d).any()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
