@@ -138,9 +138,18 @@ class ExperimentConfig:
             for key in data:
                 if key != "csv":
                     raise ConfigError(f"data.{key}: not allowed next to data.csv")
-            if not isinstance(data["csv"], str):
-                raise ConfigError(f"data.csv: must be a file path string, got {data['csv']!r}")
-            kwargs["data"] = data["csv"]
+            path = data["csv"]
+            if not isinstance(path, str):
+                raise ConfigError(f"data.csv: must be a file path string, got {path!r}")
+            # open() refuses both; a lone surrogate also could not be written
+            # into summary.json as UTF-8
+            if "\x00" in path:
+                raise ConfigError(f"data.csv: path contains a null byte, got {path!r}")
+            try:
+                path.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"data.csv: path contains a lone surrogate, got {path!r}") from None
+            kwargs["data"] = path
         elif isinstance(data, dict):
             try:
                 kwargs["data"] = BlobSpec(**data)
@@ -199,13 +208,16 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     loaded = load_cloud_csv(cfg.data)
     if loaded.labels is None:
         raise ConfigError("data: csv file must carry a trailing 'label' column for training")
-    if np.unique(loaded.labels).size < 2:
+    # the output layer has one unit per class, so labels become 0..C-1 in
+    # ascending order whatever their values
+    classes, labels = np.unique(loaded.labels, return_inverse=True)
+    if classes.size < 2:
         raise ConfigError(f"data: {cfg.data}: training needs at least 2 classes, found one label")
     n_total = loaded.points.shape[0]
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
     perm = rng.permutation(n_total)
     n_train = int(round(TRAIN_FRACTION * n_total))
-    return PointCloud(loaded.points), loaded.labels, perm[:n_train], perm[n_train:]
+    return PointCloud(loaded.points), labels, perm[:n_train], perm[n_train:]
 
 
 def _evaluate(mlp, val_x, val_y) -> dict:

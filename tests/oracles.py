@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -71,7 +72,7 @@ def per_cell_cloud_csv(path):
         return True
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
         raise CsvCellError(f"{path}: not UTF-8 text (byte {exc.start})") from None
@@ -274,3 +275,49 @@ def entropy_formula(lengths) -> float:
         if l > 0:
             acc -= (l / s) * math.log(l / s)
     return acc
+
+
+def recursive_dump_json(obj, indent: int = 0, _level: int = 0) -> str:
+    """JSON text built value by value: %.17g floats, ints through str,
+    strings through json.dumps, items joined by ", " on one line or by
+    ",\n" with ``indent`` spaces per level.  numpy scalars and arrays are
+    converted first; a non-finite float raises ValueError, a non-string key
+    or an unknown type TypeError."""
+    pad = " " * (indent * (_level + 1)) if indent else ""
+    close_pad = " " * (indent * _level) if indent else ""
+    sep = ",\n" if indent else ", "
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, np.integer):
+        obj = int(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"refusing to serialize non-finite float {obj!r}")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            items.append(f"{pad}{recursive_dump_json(key)}: {recursive_dump_json(value, indent, _level + 1)}")
+        body = sep.join(items)
+        return "{\n" + body + "\n" + close_pad + "}" if indent else "{" + body + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}{recursive_dump_json(v, indent, _level + 1)}" for v in obj]
+        body = sep.join(items)
+        return "[\n" + body + "\n" + close_pad + "]" if indent else "[" + body + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")

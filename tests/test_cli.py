@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toporeg.cli as cli
@@ -293,6 +293,8 @@ class TestTrainCommand:
             (dict(data={"csv": 5}), "data.csv"),
             (dict(data={"csv": ["a"]}), "data.csv"),
             (dict(data={"csv": "cloud.csv", "n_per_class": 40}), "data.n_per_class"),
+            (dict(data={"csv": "a\x00b.csv"}), "data.csv"),
+            (dict(data={"csv": "\ud800.csv"}), "data.csv"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -373,6 +375,16 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("labels", [(0, 2**62), (1, 2)], ids=["huge", "from_one"])
+    def test_labels_map_to_consecutive_classes(self, tmp_path, labels):
+        metrics = []
+        for name, csv_labels in (("orig", (0, 1)), ("relabeled", labels)):
+            data = write_csv(tmp_path / f"{name}.csv", two_class_csv_text(csv_labels))
+            cfg = train_config(tmp_path, data={"csv": data})
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            metrics.append((tmp_path / name / "metrics_seed0.jsonl").read_bytes())
+        assert metrics[0] == metrics[1]
+
     def test_relative_csv_path_resolves_against_the_config(self, tmp_path, monkeypatch):
         write_csv(tmp_path / "data.csv", two_class_csv_text())
         cfg = train_config(tmp_path, data={"csv": "data.csv"})
@@ -392,14 +404,14 @@ class TestTrainCommand:
         assert captured.err.startswith(f"error: {data}: cannot parse label 'one' as an integer (row 3, column 2)")
 
 
-def two_class_csv_text():
+def two_class_csv_text(labels=(0, 1)):
     """80 labelled points in two well-separated classes, with a header."""
     rng = np.random.default_rng(0)
     rows = ["x0,x1,x2,x3,label"]
     for i in range(80):
         c = i % 2
         point = rng.normal(size=4) + (3.0 if c else -3.0)
-        rows.append(",".join(f"{float(v)!r}" for v in point) + f",{c}")
+        rows.append(",".join(f"{float(v)!r}" for v in point) + f",{labels[c]}")
     return "\n".join(rows) + "\n"
 
 
@@ -407,11 +419,13 @@ def two_class_csv_text():
 
 BAD_CELLS = ["", " ", "abc", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0x1"]
 BAD_LABELS = ["-1", "x", "1.5", ""]
+BOM = "\ufeff"
 
 
 @st.composite
 def csv_texts(draw):
-    """CSV text, half of it malformed: ragged rows, bad or extreme cells, bad labels."""
+    """CSV text, half of it malformed: ragged rows, bad or extreme cells, bad
+    labels; some of it starts with a UTF-8 byte order mark."""
     clean = draw(st.booleans())
     width = draw(st.integers(1, 4))
     header = draw(st.sampled_from([None, "x,y", "x,y,label", "label"]))
@@ -424,7 +438,8 @@ def csv_texts(draw):
         if header is not None and header.endswith("label"):
             cells.append(draw(st.sampled_from(["0", "1", "2"] + ([] if clean else BAD_LABELS))))
         rows.append(",".join(cells))
-    return "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
+    bom = draw(st.sampled_from(["", "", "", BOM]))
+    return bom + "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
 
 
 # the training CSV that test_train writes; replaced by its path
@@ -442,7 +457,10 @@ CONFIG_FIELDS = {
     "entropy_weight": ([0.0, 1.0], BAD),
     "seeds": ([[0], [1, 0]], BAD + [[], [-1], [True], [0.5]]),
     "hidden_dims": ([[4], [4, 3]], BAD + [[], [0], [True], 4]),
-    "data": ([{"csv": FUZZ_DATA}, FUZZ_DATA], BAD + [{"csv": "missing.csv"}]),
+    "data": (
+        [{"csv": FUZZ_DATA}, FUZZ_DATA],
+        BAD + [{"csv": "missing.csv"}, {"csv": "a\x00b.csv"}, {"csv": "\ud800.csv"}],
+    ),
     "data.n_per_class": ([8, 12, 16], BAD + [4, 2.5]),
     "data.n_classes": ([2, 3], BAD + [1]),
     "data.dim": ([2, 3], BAD + [1]),
@@ -507,10 +525,15 @@ class TestFuzz:
             + [["anisotropy", f"--k={k}", "--centered"] for k in range(-1, 6)]
         ),
     )
+    @example(text=BOM + "0,0\n3,0\n0,4\n", argv=["barcode"])
     def test_cloud_commands(self, tmp_path_factory, text, argv):
         path = tmp_path_factory.getbasetemp() / "fuzz_cloud.csv"
         path.write_text(text, encoding="utf-8")
-        assert_documented_outcome(*run_main([argv[0], str(path), *argv[1:]]))
+        outcome = run_main([argv[0], str(path), *argv[1:]])
+        assert_documented_outcome(*outcome)
+        if text.startswith(BOM):  # the mark changes nothing
+            path.write_text(text[len(BOM):], encoding="utf-8")
+            assert run_main([argv[0], str(path), *argv[1:]]) == outcome
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -518,6 +541,8 @@ class TestFuzz:
         data=csv_texts(),
         regime=st.sampled_from([[], ["--regime", "none"], ["--regime", "selected"]]),
     )
+    @example(config={"epochs": 1, "batch_size": 4, "data": {"csv": "a\x00b.csv"}}, data="", regime=[])
+    @example(config={"epochs": 1, "batch_size": 4, "data": {"csv": "\ud800.csv"}}, data="", regime=[])
     def test_train(self, tmp_path_factory, config, data, regime):
         base = tmp_path_factory.getbasetemp()
         (base / "fuzz_data.csv").write_text(data, encoding="utf-8")

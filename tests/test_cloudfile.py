@@ -46,7 +46,8 @@ def cells(draw, kind):
 @st.composite
 def csv_texts(draw):
     """CSV text with a header or none, a label column or none, ragged rows,
-    blank lines and bad cells scattered over several rows."""
+    blank lines, bad cells scattered over several rows and sometimes a
+    leading byte order mark."""
     width = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
     header = draw(st.sampled_from(["none"] * 3 + ["plain"] * 2 + ["label"] * 4 + ["wrong_width"]))
     has_labels = header == "label"
@@ -73,7 +74,8 @@ def csv_texts(draw):
                 row.append(draw(cells("bad" if bad else "number")))
         lines.append(",".join(row))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))  # spreadsheet exports write one
+    return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
 class TestBulkParse:
@@ -113,3 +115,29 @@ class TestBulkParse:
             load_cloud_csv(path)
         assert (info.value.row, info.value.column) == (3, 2)
         assert str(info.value).startswith(f"{path}: labels must be ")
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("bom", [b"", "\ufeff".encode()], ids=["plain", "after_bom"])
+    def test_decode_error_gives_the_file_offset(self, tmp_path, bom):
+        path = tmp_path / "bad.csv"
+        # the bad byte lies past the first 8 KB of the file
+        path.write_bytes(bom + b"1,2\n" * 2500 + b"\xff" + b"3,4\n" * 4445)
+        with pytest.raises(CloudParseError) as info:
+            load_cloud_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte {len(bom) + 10000})"
+
+    @pytest.mark.parametrize(
+        "text", ["0,0\n3,0\n0,4\n", "x,y,label\n0,0,0\n3,0,1\n0,4,1\n"], ids=["headerless", "label_header"]
+    )
+    def test_leading_bom_is_dropped(self, tmp_path, text):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        want, got = load_cloud_csv(plain), load_cloud_csv(bom)
+        assert got.points.shape == want.points.shape == (3, 2)
+        assert got.points.tobytes() == want.points.tobytes()
+        if want.labels is None:
+            assert got.labels is None
+        else:
+            assert np.array_equal(got.labels, want.labels)

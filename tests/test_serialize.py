@@ -1,6 +1,13 @@
 import json
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from toporeg.serialize import dump_json
+
+from oracles import recursive_dump_json
 
 
 def test_control_characters_round_trip():
@@ -14,3 +21,56 @@ def test_plain_strings_unchanged():
     assert dump_json(["selected_bars", "runs/metrics_seed0.jsonl", "a\tb\n"]) == (
         '["selected_bars", "runs/metrics_seed0.jsonl", "a\\tb\\n"]'
     )
+
+
+# characters the string encoder must escape or keep: controls, quotes,
+# backslashes, non-ASCII text and lone surrogates
+CHARACTERS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "é", " ", "\U0001f600"]),
+    st.characters(),
+)
+STRINGS = st.text(CHARACTERS, max_size=8)
+EDGE_FLOATS = [-0.0, 5e-324, 0.1, 1e16, 1e22, 1.7976931348623157e308]
+EDGE_INTS = [0, -1, 2**63, -(2**63) - 1, 10**30]
+SCALARS = st.one_of(
+    STRINGS,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(EDGE_INTS),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+)
+PAYLOADS = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4), max_leaves=24
+)
+EVERY_CASE = {
+    "floats": EDGE_FLOATS,
+    "ints": EDGE_INTS,
+    "sé\x00\"\\\ud800": ["a\tb\n", "\udfff", "\U0001f600"],
+    "": [True, False, None, [], {}, [[]], {"k": {}}],
+}
+
+
+def as_bytes(text):
+    return text.encode("utf-8", "surrogatepass")  # lone surrogates pass through as they are
+
+
+@settings(max_examples=200, deadline=None)
+@example(payload=EVERY_CASE)
+@given(payload=PAYLOADS)
+def test_matches_recursive_oracle(payload):
+    for indent in (0, 2):
+        assert as_bytes(dump_json(payload, indent=indent)) == as_bytes(recursive_dump_json(payload, indent=indent))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_raises_value_error(value):
+    with pytest.raises(ValueError):
+        dump_json({"x": [1, value]})
+
+
+@pytest.mark.parametrize("value", [{1: 2}, (1, 2), {1}, np.int64(1)], ids=["int_key", "tuple", "set", "np_int64"])
+def test_unlisted_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        dump_json([value])
