@@ -116,6 +116,15 @@ class ExperimentConfig:
             self.data.validate()
         elif not isinstance(self.data, str):
             raise ConfigError(f"data: must be a blob spec or a csv path, got {self.data!r}")
+        else:
+            # open() refuses both; a lone surrogate also could not be written
+            # into summary.json as UTF-8
+            if "\x00" in self.data:
+                raise ConfigError(f"data.csv: path contains a null byte, got {self.data!r}")
+            try:
+                self.data.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"data.csv: path contains a lone surrogate, got {self.data!r}") from None
 
     @property
     def selection_mode(self) -> SelectionMode | None:
@@ -141,14 +150,6 @@ class ExperimentConfig:
             path = data["csv"]
             if not isinstance(path, str):
                 raise ConfigError(f"data.csv: must be a file path string, got {path!r}")
-            # open() refuses both; a lone surrogate also could not be written
-            # into summary.json as UTF-8
-            if "\x00" in path:
-                raise ConfigError(f"data.csv: path contains a null byte, got {path!r}")
-            try:
-                path.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ConfigError(f"data.csv: path contains a lone surrogate, got {path!r}") from None
             kwargs["data"] = path
         elif isinstance(data, dict):
             try:

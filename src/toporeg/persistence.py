@@ -10,16 +10,21 @@ Downstream gradient code differentiates through the endpoints that realize
 each bar, so ties must be broken the same way every time.  Edges are ordered
 strictly by (length, i, j) with i < j.  Under a strict total order the MST
 is unique, so any correct MST algorithm returns the same edges; this module
-uses dense O(N^2) Prim, which needs O(N) memory beyond the distance matrix
-and no edge sort.  Prim keeps, for each point t outside the tree, its least
-edge (p, t) to the tree: a new tree point v replaces p when d[v, t] is
-shorter, or equally long with v < p (for a fixed t, equal-length edges order
-by the other endpoint).  Among outside points with the least edge length it
+uses dense O(N^2) Prim, which needs no edge sort.  Prim keeps only a key per
+point outside the tree, the length of its least edge to the tree, and each
+step lowers the keys with one masked minimum against the joining point's
+row; no parent array is kept.  For a fixed point t, equal-length edges
+order by the other endpoint, so t's edge goes to the smallest-index tree
+point at distance key[t].  Among outside points with the least key, Prim
 adds the one whose edge (min(p, t), max(p, t)) is smallest.  Such ties are
 rare, so each step probes for one before searching: it sets the chosen
-point's key to +inf and looks again at the minimum, and only when that still
-equals the edge length does it compare the tied edges.  The N - 1 edges are
-then sorted by (length, i, j), the order in which Kruskal accepts them.
+point's key to +inf and looks again at the minimum; only when that still
+equals the key does it find the tied points' endpoints and compare their
+edges.  After the loop one N x N equality test against the bar lengths
+recovers every endpoint the same way, as the smallest-index point that
+joined earlier at exactly the bar length, which needs an exactly symmetric
+matrix.  The N - 1 edges are then sorted by (length, i, j), the order in
+which Kruskal accepts them.
 
 A ``Barcode`` stores the bars as three parallel arrays in that order: the
 lengths, and the endpoints ``a`` and ``b`` of each edge with a < b.  Callers
@@ -88,7 +93,10 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
 
     Builds the MST under the strict (length, i, j) edge order with dense
     Prim and returns its edges sorted by that order; the edge lengths are the
-    bar lengths.  Requires N >= 2 and finite entries.
+    bar lengths.  Requires N >= 2 and finite entries, and, unchecked, an
+    exactly symmetric ``d`` as ``pairwise_distances`` returns: tree endpoints
+    are found by exact equality of ``d[t]`` with t's key.  ``d`` is not
+    modified.
     """
     d = np.asarray(d, dtype=np.float64)
     n = d.shape[0]
@@ -101,41 +109,44 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     if not (np.isfinite(d.min()) and np.isfinite(d.max())):
         raise ValueError("distance matrix has non-finite entries")
 
-    # key[t]: length of the least edge from the tree to outside point t,
-    # parent[t]: its tree endpoint; points in the tree hold key +inf.  Once t
-    # joins the tree neither changes again, so the loop records only t.
+    # key[t]: length of the least edge from the tree to outside point t;
+    # points in the tree hold key +inf.  The loop records each joining point
+    # and its key; the tree endpoints are recovered after it.
     key = d[0].copy()
     key[0] = np.inf
-    parent = np.zeros(n, dtype=np.intp)
     outside = np.ones(n, dtype=bool)
     outside[0] = False
     tails = np.empty(n - 1, dtype=np.intp)
-    # argmin and count_nonzero stand in for min() and any(): at small N most
-    # of a ufunc reduction's time is its set-up
+    lengths = np.empty(n - 1)
+    # argmin stands in for min(): at small N most of a ufunc reduction's
+    # time is its set-up
     for step in range(n - 1):
         t = key.argmin()
         length = key[t]
         key[t] = np.inf
         if key[key.argmin()] == length:
-            # another outside point ties: take the smallest (min, max) edge
+            # another outside point ties: take the smallest (min, max) edge,
+            # each candidate's endpoint being its smallest tree point at length
             key[t] = length
             ties = (key == length).nonzero()[0]
-            p = parent[ties]
+            p = ((d[ties] == length) & ~outside).argmax(axis=1)
             t = ties[(np.minimum(p, ties) * n + np.maximum(p, ties)).argmin()]
             key[t] = np.inf
         tails[step] = t
+        lengths[step] = length
         outside[t] = False
-        row = d[t]
-        better = row < key
-        eq = row == key
-        if np.count_nonzero(eq):
-            better |= eq & (t < parent)
-        better &= outside
-        np.copyto(key, row, where=better)
-        np.copyto(parent, t, where=better)
+        np.minimum(key, d[t], out=key, where=outside)
 
-    heads = parent[tails]
-    lengths = d[heads, tails]  # every key entry was copied from this entry
+    # Row t hits its head at t's bar length, the root's -1 hits nothing: N - 1
+    # hits are the heads; else the first hit among earlier joins is t's head.
+    bar_len = np.full(n, -1.0)
+    bar_len[tails] = lengths
+    hit = d == bar_len[:, None]
+    if np.count_nonzero(hit) != n - 1:
+        rank = np.zeros(n, dtype=np.intp)  # join order; the root is 0
+        rank[tails] = np.arange(1, n)
+        hit &= rank < rank[:, None]
+    heads = hit.argmax(axis=1)[tails]
     a = np.minimum(heads, tails)
     b = np.maximum(heads, tails)
     order = np.lexsort((b, a, lengths))  # last key is primary

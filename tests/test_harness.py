@@ -117,6 +117,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="mystery"):
             ExperimentConfig.from_dict({"mystery": 1})
 
+    @pytest.mark.parametrize(
+        "path,problem",
+        [("a\x00b.csv", "a null byte"), ("\udc80.csv", "a lone surrogate")],
+    )
+    def test_csv_path_the_os_cannot_open_is_a_config_error(self, path, problem):
+        # built directly, without from_dict, the path never reaches open()
+        want = f"data.csv: path contains {problem}, got {path!r}"
+        with pytest.raises(ConfigError) as direct:
+            run_seed(ExperimentConfig(data=path, epochs=1, seeds=[0]), 0)
+        assert str(direct.value) == want
+        with pytest.raises(ConfigError) as parsed:
+            ExperimentConfig.from_dict({"epochs": 1, "seeds": [0], "data": {"csv": path}})
+        assert str(parsed.value) == want
+
     def test_from_dict_roundtrip(self):
         cfg = ExperimentConfig.from_dict(
             {"regime": "all_bars", "epochs": 2, "data": {"n_per_class": 16, "dim": 4}}

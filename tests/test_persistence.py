@@ -193,6 +193,36 @@ class TestTieRules:
         assert kruskal_bars(d) == want
         assert bar_triples(vr_barcode_0d(d)) == want
 
+    # The cases below make some point t's row of the matrix hold t's bar
+    # length more than once, so the tree endpoints are recovered from the
+    # hits masked to points that joined before t.
+    @pytest.mark.parametrize(
+        "x,want",
+        [
+            # 2 joins after 1 at distance 1 from it, 1's bar length
+            ([[0.0], [1.0], [2.0]], [(1.0, 0, 1), (1.0, 1, 2)]),
+            # 3 joins through 2 but is as far from 1, which joins after it
+            # with the smaller index: unmasked, 3 and 1 would both claim (1, 3)
+            ([[0.0], [3.0], [1.0], [2.0]], [(1.0, 0, 2), (1.0, 1, 3), (1.0, 2, 3)]),
+            # zero-length bars: their rows hit the diagonal and the twin
+            ([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0]],
+             [(0.0, 0, 2), (0.0, 1, 3), (0.0, 1, 4), (2.0, 0, 1)]),
+        ],
+        ids=["later_point_at_bar_length", "later_smaller_index", "duplicated_rows"],
+    )
+    def test_endpoint_among_several_hits_is_the_earliest_join(self, x, want):
+        d = pairwise_distances(np.array(x))
+        assert kruskal_bars(d) == want
+        assert bar_triples(vr_barcode_0d(d)) == want
+
+    def test_input_matrix_is_left_untouched(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            d = pairwise_distances(tie_heavy_cloud(rng, 24))
+            before = d.copy()
+            vr_barcode_0d(d)
+            assert d.tobytes() == before.tobytes()
+
 
 class TestKruskalOracle:
     """Bars, endpoints and order equal Kruskal's under the (length, i, j) order."""
