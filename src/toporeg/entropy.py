@@ -30,12 +30,22 @@ def persistent_entropy(lengths) -> float:
     """Shannon entropy (natural log) of the normalized bar lengths.
 
     Zero-length bars contribute nothing; the total length must be positive.
+    Bars so long that their total could overflow float64 are rescaled by the
+    longest bar first, which leaves the normalized lengths unchanged up to
+    rounding.
     """
     l = np.asarray(lengths, dtype=np.float64)
     if l.ndim != 1 or l.size == 0:
         raise ValueError("lengths must be a nonempty 1-D sequence")
-    if not np.isfinite(l).all() or (l < 0).any():
-        raise ValueError("lengths must be finite and nonnegative")
+    longest = float(l[l.argmax()])
+    # argmax and argmin return the first NaN, so a finite longest bar and a
+    # nonnegative shortest one pass every bar; only a failed screen pays
+    # for the full check, which then raises
+    if not (math.isfinite(longest) and l[l.argmin()] >= 0.0):
+        if not np.isfinite(l).all() or (l < 0).any():
+            raise ValueError("lengths must be finite and nonnegative")
+    if not math.isfinite(2.0 * l.size * longest):  # the total is at most n * longest
+        l = l / longest
     total = float(l.sum())
     if total <= 0.0:
         raise ValueError("degenerate barcode: total bar length is zero")
@@ -145,22 +155,25 @@ def select_features(lengths) -> SelectionResult:
 
     The longest bar is always a feature; the shortest is noise whenever the
     lengths are not all equal.  All-equal barcodes (alpha = 1) are
-    maximum-entropy already and are returned fully selected.
+    maximum-entropy already and are returned fully selected.  Bars so long
+    that the scan's sums could overflow float64 are scanned scaled by the
+    longest bar, which selects as the unscaled bars do up to rounding.
     """
     lengths = np.asarray(lengths, dtype=np.float64)
     n = lengths.size
     if n == 0:
         raise ValueError("cannot select features of an empty barcode")
-    if not np.isfinite(lengths).all() or (lengths < 0).any():
-        raise ValueError("bar lengths must be finite and nonnegative")
+    t_idx = int(lengths.argmax())
+    r_idx = int(lengths.argmin())
+    t_len = float(lengths.flat[t_idx])
+    r_len = float(lengths.flat[r_idx])
+    # persistent_entropy's screen: the full check runs only when it fails
+    if not (math.isfinite(t_len) and r_len >= 0.0):
+        if not np.isfinite(lengths).all() or (lengths < 0).any():
+            raise ValueError("bar lengths must be finite and nonnegative")
 
     if n == 1:
         return SelectionResult(selected=[0], noise=[], alpha=1.0)
-
-    t_idx = int(np.argmax(lengths))
-    r_idx = int(np.argmin(lengths))
-    t_len = float(lengths[t_idx])
-    r_len = float(lengths[r_idx])
 
     if r_len == t_len:
         # uniform barcode: nothing to neutralize, every bar is a feature
@@ -170,8 +183,14 @@ def select_features(lengths) -> SelectionResult:
     order = np.argsort(-lengths, kind="stable")  # longest first, equal lengths by index
     rest = order[(order != t_idx) & (order != r_idx)]
 
+    middle = lengths[rest]
+    if not math.isfinite(2.0 * n * t_len):
+        # every sum the scan forms (tail totals, the H sums, neutralized
+        # totals) is at most n * T in size: scaling by T keeps them finite
+        # and the ratios it tests unchanged up to rounding
+        middle, r_len, t_len = middle / t_len, r_len / t_len, 1.0
     trace: list[tuple[int, int, float]] = []
-    kept = _scan(lengths[rest].tolist(), r_len, t_len, alpha, trace)
+    kept = _scan(middle.tolist(), r_len, t_len, alpha, trace)
 
     is_feature = np.zeros(n, dtype=bool)
     is_feature[t_idx] = True

@@ -30,8 +30,9 @@ import numpy as np
 
 # pairwise_distances fills max(1, PAIRS_PER_SLICE // N) rows at a time (a
 # single row once N exceeds this); its one difference buffer, reused by every
-# block, holds at most about PAIRS_PER_SLICE x D values
-PAIRS_PER_SLICE = 65536
+# block, holds at most about PAIRS_PER_SLICE x D values: 1 MB at D = 16 for
+# N up to PAIRS_PER_SLICE, one row of N x D values beyond
+PAIRS_PER_SLICE = 8192
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -83,11 +84,11 @@ def pairwise_distances(cloud) -> np.ndarray:
     [lo, hi) computes only the upper-triangle columns lo: and mirrors its
     rows below the diagonal into columns lo:hi, so each pair is computed
     once.  Every block's differences go into the leading part of one buffer
-    of at most about PAIRS_PER_SLICE x D elements, allocated once.  Every
-    entry sums its squared coordinate differences in the same fixed order,
-    and a - b = -(b - a) exactly in IEEE arithmetic, so the result is exactly
-    symmetric with a zero diagonal, bitwise equal to computing both
-    triangles, and bitwise deterministic.
+    of at most about PAIRS_PER_SLICE x D elements (1 MB at D = 16),
+    allocated once.  Every entry sums its squared coordinate differences in
+    the same fixed order, and a - b = -(b - a) exactly in IEEE arithmetic,
+    so the result is exactly symmetric with a zero diagonal, bitwise equal
+    to computing both triangles, and bitwise deterministic.
     """
     x = as_cloud(cloud).data
     n, dim = x.shape
@@ -118,7 +119,8 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
         k_max = rank_bound
     if not 1 <= k_max <= rank_bound:
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
-    work = m - m.mean(axis=0, keepdims=True) if centered else m
+    # np.add.reduce / N is the computation ndarray.mean runs, minus its wrapper
+    work = m - np.add.reduce(m, axis=0, keepdims=True) / m.shape[0] if centered else m
     if not np.isfinite(work).all():
         raise ValueError("matrix contains NaN or Inf entries")
     # singular values from the Gram matrix of the smaller side; it is PSD up
@@ -128,7 +130,7 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     if not np.isfinite(gram).all():
         raise ValueError("Gram matrix overflows float64")
     # eigvalsh returns ascending eigenvalues, so sigma is descending
-    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1])
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[::-1])
     # rank rule with two noise sources kept apart.  Centering error: as in
     # np.linalg.matrix_rank, a singular value at or below max(N, D) * eps
     # times sqrt(N * D) * max|m| (a bound on the Frobenius norm of the

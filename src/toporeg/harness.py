@@ -16,6 +16,7 @@ with an identical config and seed produce identical metric streams.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -227,7 +228,7 @@ def _evaluate(mlp, val_x, val_y) -> dict:
     0.0 where anisotropy_profile finds no singular value above rounding
     noise: representations all zero, or all equal when centered."""
     logits, reps, _ = forward(mlp, val_x)
-    accuracy = float((np.argmax(logits, axis=1) == val_y).mean())
+    accuracy = np.count_nonzero(logits.argmax(axis=1) == val_y) / val_y.size
     reps = reps[:EVAL_BATCH_SIZE]
     k_max = min(max(ANISOTROPY_KS), min(reps.shape))
     scores = np.zeros((2, max(ANISOTROPY_KS)))  # rows: raw, centered
@@ -274,7 +275,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
             breakdown, grad = backward_combined(
                 mlp, x[batch], y[batch], mode, cfg.entropy_weight
             )
-            if not np.isfinite(breakdown.total):
+            if not math.isfinite(breakdown.total):
                 return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
             adam_step(mlp.params, grad, state, sched, cfg.weight_decay)
             if not np.isfinite(mlp.params).all():

@@ -139,7 +139,7 @@ def backward_combined(
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     rowsum = e.sum(axis=1, keepdims=True)
-    ce = float((np.log(rowsum[:, 0]) - shifted[rows, labels]).mean())
+    ce = float(np.add.reduce(np.log(rowsum[:, 0]) - shifted[rows, labels]) / n)
 
     ent = 0.0
     ent_grad = None

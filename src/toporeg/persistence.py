@@ -116,11 +116,11 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     key[0] = np.inf
     outside = np.ones(n, dtype=bool)
     outside[0] = False
-    tails = np.empty(n - 1, dtype=np.intp)
-    lengths = np.empty(n - 1)
+    tails = []
+    lengths = []
     # argmin stands in for min(): at small N most of a ufunc reduction's
     # time is its set-up
-    for step in range(n - 1):
+    for _ in range(n - 1):
         t = key.argmin()
         length = key[t]
         key[t] = np.inf
@@ -132,11 +132,13 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
             p = ((d[ties] == length) & ~outside).argmax(axis=1)
             t = ties[(np.minimum(p, ties) * n + np.maximum(p, ties)).argmin()]
             key[t] = np.inf
-        tails[step] = t
-        lengths[step] = length
+        tails.append(t)
+        lengths.append(length)
         outside[t] = False
         np.minimum(key, d[t], out=key, where=outside)
 
+    tails = np.array(tails, dtype=np.intp)
+    lengths = np.array(lengths)
     # Row t hits its head at t's bar length, the root's -1 hits nothing: N - 1
     # hits are the heads; else the first hit among earlier joins is t's head.
     bar_len = np.full(n, -1.0)

@@ -70,13 +70,18 @@ def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> En
 
     clamped = np.maximum(lengths, EPS)
     s = float(clamped.sum())
-    dE_dl = (-np.log(clamped) + (clamped * np.log(clamped)).sum() / s) / s
+    log_clamped = np.log(clamped)
+    dE_dl = (-log_clamped + (clamped * log_clamped).sum() / s) / s
     step = dE_dl[:, None] * ((x[a] - x[b]) / clamped[:, None])
     # one unbuffered scatter over (a_0, b_0, a_1, b_1, ...) adds in the order
     # of a per-bar loop of grad[a] += step; grad[b] -= step, so the sums are
     # bitwise the same
-    ends = np.stack([a, b], axis=1).ravel()
-    np.add.at(grad, ends, np.stack([step, -step], axis=1).reshape(ends.size, -1))
+    ends = np.empty(2 * a.size, dtype=np.intp)
+    ends[0::2], ends[1::2] = a, b
+    signed = np.empty((ends.size, x.shape[1]))
+    signed[0::2] = step
+    np.negative(step, out=signed[1::2])
+    np.add.at(grad, ends, signed)
     return EntropyLossGrad(value=float(value), grad=grad, degenerate=False)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ class TestPersistentEntropy:
             persistent_entropy([1.0, -0.5])
         with pytest.raises(ValueError):
             persistent_entropy([])
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan], [np.inf], [-np.inf], [1.0, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1e308, 1e308, -1.0]]
+    )
+    def test_rejects_non_finite_and_negative(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            persistent_entropy(bad)
+
+    def test_overflowing_total_is_rescaled(self):
+        # the sum 2e308 overflows float64; the bars are still two equal ones
+        assert persistent_entropy([1e308, 1e308]) == pytest.approx(math.log(2), abs=1e-15)
+        lengths = np.array([3.0, 1.0, 0.5, 0.0])
+        huge = lengths / 3.0 * sys.float_info.max
+        assert persistent_entropy(huge) == pytest.approx(persistent_entropy(lengths), abs=1e-15)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
@@ -187,3 +202,41 @@ class TestSelectFeatures:
     def test_empty_barcode_rejected(self):
         with pytest.raises(ValueError):
             select_features(np.array([]))
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan], [np.inf], [-1.0], [1.0, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1e308, 1e308, -1.0]]
+    )
+    def test_rejects_non_finite_and_negative(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            select_features(np.array(bad))
+
+
+def assert_same_selection(scaled, unscaled):
+    a, b = select_features(scaled), select_features(unscaled)
+    assert (a.selected, a.noise) == (b.selected, b.noise)
+    assert [step[:2] for step in a.q_trace] == [step[:2] for step in b.q_trace]
+    c_scaled = [step[2] for step in a.q_trace]
+    assert np.isfinite(c_scaled).all()
+    np.testing.assert_allclose(c_scaled, [step[2] for step in b.q_trace], rtol=1e-12)
+
+
+class TestSelectFeaturesNearOverflow:
+    """Bars whose sums overflow float64 select as their unscaled copies do."""
+
+    def test_total_overflows(self):
+        lengths = np.array([1.0, 0.9, 0.3, 0.2, 0.01])
+        assert_same_selection(lengths * 1e308, lengths)
+        assert select_features(lengths * 1e308).selected == [0]
+
+    def test_entropy_sum_overflows_before_the_total(self):
+        # the total is 0.8 of the float64 maximum, but the sum of
+        # l * log(T / l) over the 40 middle bars is about 1.5 times it
+        big = sys.float_info.max
+        lengths = np.concatenate([[big / 4], np.full(40, big / 80), [big / 100]])
+        assert np.isfinite(lengths.sum())
+        assert_same_selection(lengths, lengths / 1e300)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_barcodes(self, seed):
+        lengths = random_barcode(np.random.default_rng(seed))
+        assert_same_selection(lengths / lengths.max() * (sys.float_info.max / 3), lengths)

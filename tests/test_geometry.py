@@ -161,6 +161,14 @@ class TestAnisotropy:
         share = eigs / eigs.sum()
         assert anisotropy_profile(m, k_max=1, centered=True).score(1) == pytest.approx(share[0], rel=1e-8)
 
+    @pytest.mark.parametrize("shape", [(64, 16), (40, 6), (5, 9), (33, 3)])
+    def test_centered_equals_explicitly_centered_bitwise(self, shape):
+        # on full-rank data no singular value nears the noise floor, so
+        # centering inside must give exactly the scores of centering outside
+        m = 2.0 + np.random.default_rng(sum(shape)).normal(size=shape)
+        explicit = anisotropy_profile(m - m.mean(axis=0, keepdims=True)).scores
+        assert np.array_equal(anisotropy_profile(m, centered=True).scores, explicit)
+
     def test_centered_offset_cloud_keeps_its_directions(self):
         # a large offset makes max|m| huge next to the centered spread; the
         # rank rule must judge the centered spectrum on its own scale, not

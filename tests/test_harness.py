@@ -199,6 +199,16 @@ class TestRunSeed:
         assert rec["val_accuracy"] == 1.0
         assert all(rec[f"anisotropy_{kind}_{k}"] == 0.0 for kind in ("raw", "centered") for k in (1, 2, 3))
 
+    def test_val_accuracy_is_the_mean_of_hits_bitwise(self):
+        # many sizes, so a count times 1/n would round differently somewhere
+        for n in range(1, 65):
+            mlp = MLP.init([4, 8, 3], np.random.default_rng(n))
+            rng = np.random.default_rng(n + 1)
+            val_x, val_y = rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
+            logits, _, _ = harness.forward(mlp, val_x)
+            rec = harness._evaluate(mlp, val_x, val_y)
+            assert rec["val_accuracy"] == float((np.argmax(logits, axis=1) == val_y).mean()), n
+
     def test_collapsed_representations_score_zero_centered_anisotropy(self):
         # with spread 0 the validation representations all coincide, so
         # centering leaves only rounding error, which has no direction

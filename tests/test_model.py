@@ -112,6 +112,19 @@ class TestBackwardCombined:
         assert bd.ent == 0.0
         np.testing.assert_allclose(grad, ce_grad, atol=1e-15)
 
+    def test_cross_entropy_is_the_np_mean_bitwise(self):
+        # many batch sizes, so a sum times 1/n would round differently somewhere
+        for n in range(1, 65):
+            mlp = small_mlp(seed=n, dims=(3, 5, 4, 3))
+            rng = np.random.default_rng(n + 1)
+            batch = rng.normal(size=(n, 3))
+            labels = rng.integers(0, 3, size=n)
+            logits, _, _ = forward(mlp, batch)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            per_row = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), labels]
+            bd, _ = backward_combined(mlp, batch, labels, None)
+            assert bd.ce == float(np.mean(per_row)), n
+
     def test_breakdown_identity(self):
         mlp = small_mlp(seed=11)
         rng = np.random.default_rng(12)
