@@ -26,6 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _bar_lengths(lengths) -> tuple[np.ndarray, int, int]:
+    """Bar lengths as a float64 array, with the indices of the longest and
+    the shortest bar; raises ValueError unless the lengths are a nonempty
+    1-D sequence of finite nonnegative values."""
+    l = np.asarray(lengths, dtype=np.float64)
+    if l.ndim != 1 or l.size == 0:
+        raise ValueError(f"lengths must be a nonempty 1-D sequence, got shape {l.shape}")
+    t_idx, r_idx = int(l.argmax()), int(l.argmin())
+    # argmax and argmin return the first NaN, so a finite longest bar and a
+    # nonnegative shortest one pass every bar without a full scan
+    if not (math.isfinite(l[t_idx]) and l[r_idx] >= 0.0):
+        raise ValueError("lengths must be finite and nonnegative")
+    return l, t_idx, r_idx
+
+
 def persistent_entropy(lengths) -> float:
     """Shannon entropy (natural log) of the normalized bar lengths.
 
@@ -34,16 +49,8 @@ def persistent_entropy(lengths) -> float:
     longest bar first, which leaves the normalized lengths unchanged up to
     rounding.
     """
-    l = np.asarray(lengths, dtype=np.float64)
-    if l.ndim != 1 or l.size == 0:
-        raise ValueError("lengths must be a nonempty 1-D sequence")
-    longest = float(l[l.argmax()])
-    # argmax and argmin return the first NaN, so a finite longest bar and a
-    # nonnegative shortest one pass every bar; only a failed screen pays
-    # for the full check, which then raises
-    if not (math.isfinite(longest) and l[l.argmin()] >= 0.0):
-        if not np.isfinite(l).all() or (l < 0).any():
-            raise ValueError("lengths must be finite and nonnegative")
+    l, t_idx, _ = _bar_lengths(lengths)
+    longest = float(l[t_idx])
     if not math.isfinite(2.0 * l.size * longest):  # the total is at most n * longest
         l = l / longest
     total = float(l.sum())
@@ -159,18 +166,10 @@ def select_features(lengths) -> SelectionResult:
     that the scan's sums could overflow float64 are scanned scaled by the
     longest bar, which selects as the unscaled bars do up to rounding.
     """
-    lengths = np.asarray(lengths, dtype=np.float64)
+    lengths, t_idx, r_idx = _bar_lengths(lengths)
     n = lengths.size
-    if n == 0:
-        raise ValueError("cannot select features of an empty barcode")
-    t_idx = int(lengths.argmax())
-    r_idx = int(lengths.argmin())
-    t_len = float(lengths.flat[t_idx])
-    r_len = float(lengths.flat[r_idx])
-    # persistent_entropy's screen: the full check runs only when it fails
-    if not (math.isfinite(t_len) and r_len >= 0.0):
-        if not np.isfinite(lengths).all() or (lengths < 0).any():
-            raise ValueError("bar lengths must be finite and nonnegative")
+    t_len = float(lengths[t_idx])
+    r_len = float(lengths[r_idx])
 
     if n == 1:
         return SelectionResult(selected=[0], noise=[], alpha=1.0)

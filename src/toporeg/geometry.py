@@ -1,5 +1,6 @@
-"""Dense real-matrix primitives: point clouds, pairwise distances, singular
-values, and anisotropy scores.
+"""Dense real-matrix primitives: pairwise distances and anisotropy scores.
+
+A point cloud is a plain N x D float64 array, one row per point.
 
 The k-th anisotropy score of an N x D matrix X is
 
@@ -37,31 +38,6 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
-class PointCloud:
-    """N x D matrix of finite real coordinates (one row per point)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError(f"point cloud must be 2-D, got shape {data.shape}")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(f"point cloud needs N >= 1 and D >= 1, got {data.shape}")
-        if not np.isfinite(data).all():
-            raise ValueError("point cloud contains NaN or Inf entries")
-        self.data = data
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
 class AnisotropyProfile:
     """Anisotropy scores for k = 1..len(scores)."""
 
@@ -71,14 +47,21 @@ class AnisotropyProfile:
         return float(self.scores[k - 1])
 
 
-def as_cloud(cloud) -> PointCloud:
-    if isinstance(cloud, PointCloud):
-        return cloud
-    return PointCloud(np.asarray(cloud, dtype=np.float64))
+def _points(x) -> np.ndarray:
+    """``x`` as an N x D float64 array; raises ValueError unless N >= 1,
+    D >= 1 and every entry is finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"point cloud must be 2-D, got shape {x.shape}")
+    if x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError(f"point cloud needs N >= 1 and D >= 1, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("point cloud contains NaN or Inf entries")
+    return x
 
 
-def pairwise_distances(cloud) -> np.ndarray:
-    """Euclidean distance matrix of a point cloud.
+def pairwise_distances(x) -> np.ndarray:
+    """Euclidean distance matrix of an N x D point cloud.
 
     Rows are filled in blocks of ``max(1, PAIRS_PER_SLICE // N)``.  Block
     [lo, hi) computes only the upper-triangle columns lo: and mirrors its
@@ -90,7 +73,7 @@ def pairwise_distances(cloud) -> np.ndarray:
     so the result is exactly symmetric with a zero diagonal, bitwise equal
     to computing both triangles, and bitwise deterministic.
     """
-    x = as_cloud(cloud).data
+    x = _points(x)
     n, dim = x.shape
     d = np.empty((n, n), dtype=np.float64)
     rows = max(1, PAIRS_PER_SLICE // n)

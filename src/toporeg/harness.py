@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cloudfile import load_cloud_csv
-from .geometry import PointCloud, anisotropy_profile
+from .geometry import anisotropy_profile
 from .model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
 from .regularizer import SelectionMode
 
@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds: need a nonempty list of seeds, got {self.seeds!r}")
         if not all(_is_int(s) and s >= 0 for s in self.seeds):
             raise ConfigError(f"seeds: must all be integers >= 0, got {self.seeds!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: must be distinct, got {self.seeds!r}")
         if (
             not isinstance(self.hidden_dims, list)
             or not self.hidden_dims
@@ -178,10 +180,11 @@ def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread
 
     Cluster noise has standard deviation BLOB_NOISE_RATIO * spread, so the
     geometry is scale-free in ``spread`` and spread = 0 collapses each class
-    onto its center.  Returns (cloud, labels, train_idx, val_idx) with a
-    deterministic shuffled 80/20 split.  Parameters that BlobSpec.validate
-    rejects, and a spread so large that a coordinate overflows float64,
-    raise ConfigError, a ValueError.
+    onto its center.  Returns (points, labels, train_idx, val_idx): the
+    (n_classes * n_per_class) x dim float64 array of finite coordinates,
+    class by class, their labels, and a deterministic shuffled 80/20 split.
+    Parameters that BlobSpec.validate rejects, and a spread so large that a
+    coordinate overflows float64, raise ConfigError, a ValueError.
     """
     BlobSpec(n_per_class, n_classes, dim, spread).validate()
 
@@ -200,7 +203,7 @@ def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread
     n_total = n_classes * n_per_class
     perm = rng.permutation(n_total)
     n_train = int(round(TRAIN_FRACTION * n_total))
-    return PointCloud(points), labels, perm[:n_train], perm[n_train:]
+    return points, labels, perm[:n_train], perm[n_train:]
 
 
 def _load_dataset(cfg: ExperimentConfig, seed: int):
@@ -219,7 +222,7 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
     perm = rng.permutation(n_total)
     n_train = int(round(TRAIN_FRACTION * n_total))
-    return PointCloud(loaded.points), labels, perm[:n_train], perm[n_train:]
+    return loaded.points, labels, perm[:n_train], perm[n_train:]
 
 
 def _evaluate(mlp, val_x, val_y) -> dict:
@@ -248,8 +251,7 @@ def _evaluate(mlp, val_x, val_y) -> dict:
 def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
     """Train one seed to completion, or to the first step whose loss or
     updated parameters are not finite (divergence), and log every step."""
-    cloud, labels, train_idx, val_idx = _load_dataset(cfg, seed)
-    x, y = cloud.data, labels
+    x, y, train_idx, val_idx = _load_dataset(cfg, seed)
     if val_idx.size < 2 or train_idx.size < cfg.batch_size:
         raise ConfigError("data: dataset too small for the requested batch size and split")
 

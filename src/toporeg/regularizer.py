@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import persistent_entropy, select_features
-from .geometry import PointCloud, as_cloud, pairwise_distances
+from .geometry import _points, pairwise_distances
 from .persistence import vr_barcode_0d
 
 EPS = 1e-12
@@ -49,14 +49,18 @@ class EntropyLossGrad:
     degenerate: bool = False
 
 
-def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> EntropyLossGrad:
-    """Persistent entropy of a cloud's barcode and its coordinate gradient."""
-    pc = as_cloud(cloud)
-    x = pc.data
-    if pc.n < 2:
-        raise ValueError("entropy loss needs at least 2 points")
+def _check_mode(mode) -> None:
+    if not isinstance(mode, SelectionMode):
+        raise ValueError(f"mode must be a SelectionMode, got {mode!r}")
 
-    barcode = vr_barcode_0d(pairwise_distances(pc))
+
+def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> EntropyLossGrad:
+    """Persistent entropy of an N x D cloud's barcode and its coordinate
+    gradient; raises ValueError on fewer than 2 points, a cloud that is not
+    2-D and finite, or a mode that is not a SelectionMode."""
+    _check_mode(mode)
+    x = np.asarray(x, dtype=np.float64)
+    barcode = vr_barcode_0d(pairwise_distances(x))
     lengths, a, b = barcode.lengths(), barcode.a, barcode.b
     if mode is SelectionMode.SELECTED_BARS:
         active = select_features(lengths).selected
@@ -86,7 +90,7 @@ def entropy_loss_grad(cloud, mode: SelectionMode = SelectionMode.ALL_BARS) -> En
 
 
 def per_class_entropy_loss(
-    cloud,
+    x,
     labels,
     mode: SelectionMode = SelectionMode.ALL_BARS,
 ) -> EntropyLossGrad:
@@ -95,15 +99,16 @@ def per_class_entropy_loss(
     ``labels`` gives each point's class; classes run in ascending label
     order, and those with fewer than 2 points are skipped.  Applying the
     loss per class keeps distinct clusters apart: only distances *within* a
-    label group generate gradients.
+    label group generate gradients.  The whole N x D cloud is checked once,
+    so a non-finite coordinate raises ValueError even in a skipped class.
     """
-    pc = as_cloud(cloud)
-    x = pc.data
+    _check_mode(mode)
+    x = _points(x)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D sequence of class indices")
-    if labels.shape[0] != pc.n:
-        raise ValueError(f"labels cover {labels.shape[0]} points, cloud has {pc.n}")
+    if labels.shape[0] != x.shape[0]:
+        raise ValueError(f"labels cover {labels.shape[0]} points, cloud has {x.shape[0]}")
     total = 0.0
     grad = np.zeros_like(x)
     any_active = False
@@ -111,7 +116,7 @@ def per_class_entropy_loss(
         idx = np.flatnonzero(labels == label)
         if idx.size < 2:
             continue
-        sub = entropy_loss_grad(PointCloud(x[idx]), mode)
+        sub = entropy_loss_grad(x[idx], mode)
         total += sub.value
         grad[idx] += sub.grad
         if not sub.degenerate:

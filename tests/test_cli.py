@@ -295,6 +295,7 @@ class TestTrainCommand:
             (dict(data={"csv": "cloud.csv", "n_per_class": 40}), "data.n_per_class"),
             (dict(data={"csv": "a\x00b.csv"}), "data.csv"),
             (dict(data={"csv": "\ud800.csv"}), "data.csv"),
+            (dict(seeds=[0, 0]), "seeds"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -455,7 +456,7 @@ CONFIG_FIELDS = {
     "epochs": ([1], BAD + [0, 1.0]),
     "batch_size": ([4, 8], BAD + [2, 4.0]),
     "entropy_weight": ([0.0, 1.0], BAD),
-    "seeds": ([[0], [1, 0]], BAD + [[], [-1], [True], [0.5]]),
+    "seeds": ([[0], [1, 0]], BAD + [[], [-1], [True], [0.5], [0, 0]]),
     "hidden_dims": ([[4], [4, 3]], BAD + [[], [0], [True], 4]),
     "data": (
         [{"csv": FUZZ_DATA}, FUZZ_DATA],

@@ -211,6 +211,17 @@ class TestSelectFeatures:
             select_features(np.array(bad))
 
 
+@pytest.mark.parametrize("fn", [persistent_entropy, select_features])
+@pytest.mark.parametrize(
+    "bad",
+    [[[1.0, 0.5, 0.2], [0.1, 0.3, 0.9]], [[1.0, 1.0], [1.0, 1.0]], 3.0],
+    ids=["non_uniform_2d", "uniform_2d", "scalar"],
+)
+def test_lengths_must_be_one_dimensional(fn, bad):
+    with pytest.raises(ValueError, match="1-D"):
+        fn(np.array(bad))
+
+
 def assert_same_selection(scaled, unscaled):
     a, b = select_features(scaled), select_features(unscaled)
     assert (a.selected, a.noise) == (b.selected, b.noise)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toporeg.geometry as geometry
-from toporeg.geometry import PointCloud, anisotropy_profile, pairwise_distances
+from toporeg.geometry import anisotropy_profile, pairwise_distances
+from toporeg.regularizer import entropy_loss_grad, per_class_entropy_loss
 
 from oracles import rowwise_distance_matrix, scalar_distance_matrix
 
@@ -23,21 +24,30 @@ def reference_scores(m):
     return sv**2 / (sv**2).sum()
 
 
-class TestPointCloud:
-    def test_accepts_finite_matrix(self):
-        pc = PointCloud(np.ones((3, 2)))
-        assert pc.n == 3 and pc.dim == 2
-
-    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((0, 2)), np.ones((2, 0))])
-    def test_rejects_bad_shapes(self, bad):
-        with pytest.raises(ValueError):
-            PointCloud(bad)
-
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.array([[0.0, np.nan]]))
-        with pytest.raises(ValueError):
-            PointCloud(np.array([[np.inf, 1.0]]))
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pairwise_distances,
+        entropy_loss_grad,
+        lambda x: per_class_entropy_loss(x, np.zeros(len(x), dtype=int)),
+    ],
+    ids=["pairwise_distances", "entropy_loss_grad", "per_class_entropy_loss"],
+)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.ones(3),
+        np.ones((0, 2)),
+        np.ones((2, 0)),
+        np.array([[0.0, np.nan], [1.0, 1.0]]),
+        np.array([[np.inf, 1.0], [1.0, 1.0]]),
+        np.array([[1.0, 1.0], [-np.inf, 1.0]]),
+    ],
+    ids=["1d", "zero_rows", "zero_columns", "nan", "+inf", "-inf"],
+)
+def test_point_cloud_inputs_are_checked(fn, bad):
+    with pytest.raises(ValueError):
+        fn(bad)
 
 
 class TestPairwiseDistances:

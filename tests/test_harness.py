@@ -35,7 +35,7 @@ class TestGenerateBlobs:
     def test_deterministic_in_seed(self):
         a = generate_blobs(5, 16, 2, 4, 1.0)
         b = generate_blobs(5, 16, 2, 4, 1.0)
-        np.testing.assert_array_equal(a[0].data, b[0].data)
+        np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[2], b[2])
         np.testing.assert_array_equal(a[3], b[3])
@@ -43,12 +43,12 @@ class TestGenerateBlobs:
     def test_different_seeds_differ(self):
         a = generate_blobs(1, 16, 2, 4, 1.0)
         b = generate_blobs(2, 16, 2, 4, 1.0)
-        assert not np.array_equal(a[0].data, b[0].data)
+        assert not np.array_equal(a[0], b[0])
 
     def test_zero_spread_collapses_classes_onto_centers(self):
-        cloud, labels, _, _ = generate_blobs(3, 16, 2, 4, 0.0)
+        points, labels, _, _ = generate_blobs(3, 16, 2, 4, 0.0)
         for c in (0, 1):
-            pts = cloud.data[labels == c]
+            pts = points[labels == c]
             assert np.ptp(pts, axis=0).max() == 0.0
 
     def test_split_is_a_partition(self):
@@ -62,9 +62,9 @@ class TestGenerateBlobs:
         spread = 1.0
         seps = []
         for seed in range(50):
-            cloud, labels, _, _ = generate_blobs(seed, 128, 2, 16, spread)
-            m0 = cloud.data[labels == 0].mean(axis=0)
-            m1 = cloud.data[labels == 1].mean(axis=0)
+            points, labels, _, _ = generate_blobs(seed, 128, 2, 16, spread)
+            m0 = points[labels == 0].mean(axis=0)
+            m1 = points[labels == 1].mean(axis=0)
             seps.append(np.linalg.norm(m0 - m1))
         assert np.mean(seps) == pytest.approx(np.sqrt(2.0) * spread, rel=0.10)
 
@@ -107,6 +107,7 @@ class TestExperimentConfig:
             (dict(base_lr="x"), "base_lr"),
             (dict(data=BlobSpec(n_per_class=4)), "data.n_per_class"),
             (dict(data=BlobSpec(spread=np.inf)), "data.spread"),
+            (dict(seeds=[0, 0]), "seeds: must be distinct"),
         ],
     )
     def test_validation_names_the_field(self, kw, field):

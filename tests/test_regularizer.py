@@ -51,6 +51,11 @@ class TestEntropyLossValueAndGrad:
         with pytest.raises(ValueError):
             entropy_loss_grad(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("mode", ["selected_bars", "all_bars", None])
+    def test_mode_must_be_a_selection_mode(self, mode):
+        with pytest.raises(ValueError, match=repr(mode)):
+            entropy_loss_grad(random_cloud(0), mode)
+
     def test_all_duplicate_points_degenerate(self):
         cloud = np.ones((4, 2))
         res = entropy_loss_grad(cloud, SelectionMode.ALL_BARS)
@@ -211,6 +216,18 @@ class TestPerClassLoss:
     def test_partition_length_mismatch(self):
         with pytest.raises(ValueError, match="labels cover 2 points"):
             per_class_entropy_loss(random_cloud(0), [0, 1])
+
+    @pytest.mark.parametrize("mode", ["selected_bars", "all_bars", None])
+    def test_mode_must_be_a_selection_mode(self, mode):
+        # every class a singleton, so no class reaches entropy_loss_grad
+        with pytest.raises(ValueError, match=repr(mode)):
+            per_class_entropy_loss(random_cloud(0, n=3), [0, 1, 2], mode)
+
+    def test_non_finite_point_in_skipped_class_rejected(self):
+        cloud = random_cloud(0, n=5, dim=2)
+        cloud[4, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            per_class_entropy_loss(cloud, [0, 0, 0, 0, 1])
 
     def test_labels_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
