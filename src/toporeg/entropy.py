@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,9 +106,11 @@ def _scan(
     unexamined, which strictly shrinks the list and guarantees termination.
 
     Step i of a pass needs the total P and the entropy E of the tail
-    middle[i:] + [r, t].  One reverse accumulation per pass gives, for every
-    i, the suffix sums P and H = sum(l * log(l / T)) over that tail, T being
-    the longest bar, which every tail holds; then
+    middle[i:] + [r, t].  Each bar's term l * log(l / T) is computed once per
+    call, T being the longest bar, which every tail holds; a bar whose ratio
+    to T underflows adds nothing, as a zero bar does.  Each pass sums the
+    lengths and the terms from the end, giving for every i the suffix sums
+    P and H over that tail; then
 
         E = log(P / T) - H / P
 
@@ -122,20 +125,12 @@ def _scan(
     by subtraction, which would cancel.
     """
     m = len(middle)
+    # each bar's term of H, r's last
+    h = [l * math.log(p) if (p := l / t_len) > 0.0 else 0.0 for l in [*middle, r_len]]
     while True:
         q = max_feature_count(alpha, m + 2) if alpha > 0.0 else 0  # alpha -> 0+ limit
-        tail_sum = [0.0] * (m + 1)
-        tail_h = [0.0] * (m + 1)
-        acc_sum = r_len + t_len
-        acc_h = r_len * math.log(r_len / t_len) if r_len > 0.0 else 0.0
-        tail_sum[m], tail_h[m] = acc_sum, acc_h
-        for k in range(m - 1, -1, -1):
-            l = middle[k]
-            acc_sum += l
-            if l > 0.0:
-                acc_h += l * math.log(l / t_len)
-            tail_sum[k], tail_h[k] = acc_sum, acc_h
-
+        tail_sum = list(accumulate(reversed(middle[:m]), initial=r_len + t_len))[::-1]
+        tail_h = list(accumulate(reversed(h[:m]), initial=h[-1]))[::-1]
         s_prev = tail_sum[0]
         for i in range(1, m + 1):
             p_i = tail_sum[i]
@@ -170,9 +165,6 @@ def select_features(lengths) -> SelectionResult:
     n = lengths.size
     t_len = float(lengths[t_idx])
     r_len = float(lengths[r_idx])
-
-    if n == 1:
-        return SelectionResult(selected=[0], noise=[], alpha=1.0)
 
     if r_len == t_len:
         # uniform barcode: nothing to neutralize, every bar is a feature

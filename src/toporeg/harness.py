@@ -26,7 +26,8 @@ from .geometry import anisotropy_profile
 from .model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
 from .regularizer import SelectionMode
 
-REGIMES = ("none", "selected_bars", "all_bars")
+# regime name -> the bars the entropy loss runs on; "none" trains without it
+REGIMES = {"none": None, "selected_bars": SelectionMode.SELECTED_BARS, "all_bars": SelectionMode.ALL_BARS}
 
 # cluster noise scale relative to the center radius; spread = 0 collapses
 # every class onto its center
@@ -91,8 +92,9 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        if self.regime not in REGIMES:
-            raise ConfigError(f"regime: must be one of {REGIMES}, got {self.regime!r}")
+        # a dict lookup of an unhashable value raises TypeError
+        if not isinstance(self.regime, str) or self.regime not in REGIMES:
+            raise ConfigError(f"regime: must be one of {tuple(REGIMES)}, got {self.regime!r}")
         if not _is_int(self.epochs) or self.epochs < 1:
             raise ConfigError(f"epochs: must be an integer >= 1, got {self.epochs!r}")
         if not _is_int(self.batch_size) or self.batch_size < 4:
@@ -128,12 +130,6 @@ class ExperimentConfig:
                 self.data.encode("utf-8")
             except UnicodeEncodeError:
                 raise ConfigError(f"data.csv: path contains a lone surrogate, got {self.data!r}") from None
-
-    @property
-    def selection_mode(self) -> SelectionMode | None:
-        if self.regime == "none":
-            return None
-        return SelectionMode(self.regime)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -266,7 +262,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
     batch_rng = np.random.default_rng([seed, _STREAM_BATCHES])
 
     val_x, val_y = x[val_idx], y[val_idx]
-    mode = cfg.selection_mode
+    mode = REGIMES[cfg.regime]
 
     records: list[dict] = []
     step = 0

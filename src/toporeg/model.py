@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regularizer import SelectionMode, per_class_entropy_loss
+from .regularizer import SelectionMode, _labels, per_class_entropy_loss
 
 # Adam's moment decay rates and denominator guard, and the share of all steps
 # spent in linear warmup
@@ -121,11 +121,12 @@ def backward_combined(
 ):
     """Gradients of ce - lam * per-class entropy w.r.t. every parameter.
 
+    ``labels`` holds each row's class as an integer index into the logits.
     mode=None disables the entropy term entirely (no persistence code runs).
     Returns (ObjectiveBreakdown, grad) with grad one flat array laid out
     like mlp.params.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels(labels)
     logits, reps, activations = forward(mlp, batch)
     n = logits.shape[0]
     if labels.shape != (n,):

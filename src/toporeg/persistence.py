@@ -99,9 +99,9 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     modified.
     """
     d = np.asarray(d, dtype=np.float64)
-    n = d.shape[0]
-    if d.ndim != 2 or d.shape[1] != n:
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+    n = d.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points for a non-empty barcode")
     # min and max propagate NaN, so this catches NaN and +-inf without an

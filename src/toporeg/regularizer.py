@@ -54,6 +54,15 @@ def _check_mode(mode) -> None:
         raise ValueError(f"mode must be a SelectionMode, got {mode!r}")
 
 
+def _labels(labels) -> np.ndarray:
+    """Class labels as an int64 array; raises ValueError unless their dtype
+    is an integer one, so float (and bool) labels are never truncated."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
 def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> EntropyLossGrad:
     """Persistent entropy of an N x D cloud's barcode and its coordinate
     gradient; raises ValueError on fewer than 2 points, a cloud that is not
@@ -96,15 +105,16 @@ def per_class_entropy_loss(
 ) -> EntropyLossGrad:
     """Sum of per-class entropy losses, gradients scattered to full layout.
 
-    ``labels`` gives each point's class; classes run in ascending label
-    order, and those with fewer than 2 points are skipped.  Applying the
-    loss per class keeps distinct clusters apart: only distances *within* a
-    label group generate gradients.  The whole N x D cloud is checked once,
-    so a non-finite coordinate raises ValueError even in a skipped class.
+    ``labels`` gives each point's class as an integer; classes run in
+    ascending label order, and those with fewer than 2 points are skipped.
+    Applying the loss per class keeps distinct clusters apart: only
+    distances *within* a label group generate gradients.  The whole N x D
+    cloud is checked once, so a non-finite coordinate raises ValueError
+    even in a skipped class.
     """
     _check_mode(mode)
     x = _points(x)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D sequence of class indices")
     if labels.shape[0] != x.shape[0]:

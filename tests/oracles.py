@@ -321,3 +321,70 @@ def recursive_dump_json(obj, indent: int = 0, _level: int = 0) -> str:
         body = sep.join(items)
         return "[\n" + body + "\n" + close_pad + "]" if indent else "[" + body + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def scan_select_features(lengths):
+    """Feature/noise split by the selection scan written out as plain
+    loops: (selected, noise, alpha, q_trace), with q_trace the (i, Q, C)
+    steps.
+
+    Each pass rebuilds the suffix sums of the lengths and of
+    l * log(l / T) in one reverse loop, taking every log afresh.  The cap Q
+    is the rounded alpha*n*(alpha - 1 - log(alpha)) / (alpha - 1)**2, or 0
+    at alpha = 0.  It reads the bars the way ``select_features`` does (the
+    longest first, equal lengths by index; one longest and one shortest bar
+    set aside; scaled by T when n * T could overflow), so the trace must
+    agree bit for bit.  A ratio to T that underflows to 0 makes a log fail.
+    """
+    lengths = [float(l) for l in lengths]
+    n = len(lengths)
+    t_idx = max(range(n), key=lengths.__getitem__)
+    r_idx = min(range(n), key=lengths.__getitem__)
+    t_len, r_len = lengths[t_idx], lengths[r_idx]
+    if r_len == t_len:
+        return list(range(n)), [], 1.0, []
+    alpha = r_len / t_len
+    rest = [i for i in sorted(range(n), key=lambda i: -lengths[i]) if i not in (t_idx, r_idx)]
+    middle = [lengths[i] for i in rest]
+    if not math.isfinite(2.0 * n * t_len):
+        middle, r_len, t_len = [l / t_len for l in middle], r_len / t_len, 1.0
+
+    trace = []
+    m = len(middle)
+    kept = None
+    while kept is None:
+        q = 0
+        if alpha > 0.0:
+            q = int(math.floor(alpha * (m + 2) * (alpha - 1.0 - math.log(alpha)) / (alpha - 1.0) ** 2 + 0.5))
+        tail_sum = [0.0] * (m + 1)
+        tail_h = [0.0] * (m + 1)
+        acc_sum = r_len + t_len
+        acc_h = r_len * math.log(r_len / t_len) if r_len > 0.0 else 0.0
+        tail_sum[m], tail_h[m] = acc_sum, acc_h
+        for k in range(m - 1, -1, -1):
+            l = middle[k]
+            acc_sum += l
+            if l > 0.0:
+                acc_h += l * math.log(l / t_len)
+            tail_sum[k], tail_h[k] = acc_sum, acc_h
+
+        s_prev = tail_sum[0]
+        kept = m
+        for i in range(1, m + 1):
+            p_i = tail_sum[i]
+            ent_tail = math.log(p_i / t_len) - tail_h[i] / p_i
+            s_cur = p_i + i * (p_i / math.exp(ent_tail))
+            c = s_cur / s_prev
+            trace.append((i, q, c))
+            if c >= 1.0:
+                kept = i - 1
+                break
+            if q <= i < m:
+                m, kept = i, None
+                break
+            s_prev = s_cur
+
+    features = {t_idx, *rest[:kept]}
+    selected = sorted(features)
+    noise = [i for i in range(n) if i not in features]
+    return selected, noise, alpha, trace

@@ -1,5 +1,6 @@
 import ast
 import sys
+import tomllib
 from pathlib import Path
 
 import toporeg
@@ -62,3 +63,9 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 continue  # relative imports stay inside the package
             foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert toporeg.__version__ == tomllib.load(fh)["project"]["version"]

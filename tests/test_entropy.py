@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from toporeg.entropy import max_feature_count, persistent_entropy, select_features
 
 from alg1_reference import reference_feature_lengths
-from oracles import entropy_formula
+from oracles import entropy_formula, scan_select_features
 
 
 def random_barcode(rng) -> np.ndarray:
@@ -204,11 +204,35 @@ class TestSelectFeatures:
             select_features(np.array([]))
 
     @pytest.mark.parametrize(
+        "lengths", [[1e10, 1.0, 1e-315], [1e10, 1e-320, 1.0, 0.0], [1e10, 3.0, 2.0, 1e-316, 0.5]]
+    )
+    def test_bar_whose_ratio_to_the_longest_underflows_counts_as_zero(self, lengths):
+        zeroed = [l if l / max(lengths) > 0.0 else 0.0 for l in lengths]
+        assert zeroed != lengths
+        got, want = select_features(lengths), select_features(zeroed)
+        assert (got.selected, got.noise, got.q_trace) == (want.selected, want.noise, want.q_trace)
+
+    @pytest.mark.parametrize(
         "bad", [[np.nan], [np.inf], [-1.0], [1.0, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1e308, 1e308, -1.0]]
     )
     def test_rejects_non_finite_and_negative(self, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             select_features(np.array(bad))
+
+
+@st.composite
+def tie_heavy_barcodes(draw):
+    """1-60 bars drawn from a few lengths, zero among them, so most bars tie."""
+    pool = draw(st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from([0.0, *pool]), min_size=1, max_size=60))
+
+
+@given(lengths=tie_heavy_barcodes())
+@settings(max_examples=300, deadline=None)
+def test_select_features_matches_the_scan_oracle_bit_for_bit(lengths):
+    res = select_features(lengths)
+    selected, noise, alpha, q_trace = scan_select_features(lengths)
+    assert (res.selected, res.noise, res.alpha, res.q_trace) == (selected, noise, alpha, q_trace)
 
 
 @pytest.mark.parametrize("fn", [persistent_entropy, select_features])

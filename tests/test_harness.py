@@ -108,6 +108,9 @@ class TestExperimentConfig:
             (dict(data=BlobSpec(n_per_class=4)), "data.n_per_class"),
             (dict(data=BlobSpec(spread=np.inf)), "data.spread"),
             (dict(seeds=[0, 0]), "seeds: must be distinct"),
+            # unhashable, so a bare dict lookup would raise TypeError
+            (dict(regime=[1]), "regime"),
+            (dict(regime={"a": 1}), "regime"),
         ],
     )
     def test_validation_names_the_field(self, kw, field):

@@ -158,6 +158,17 @@ class TestBackwardCombined:
         with pytest.raises(ValueError):
             backward_combined(mlp, np.zeros((2, 3)), np.array([0, 5]), None)
 
+    @pytest.mark.parametrize("labels", [[0, 0.5, 1.9, 1.0], np.array([False, False, True, True])])
+    @pytest.mark.parametrize("mode", [None, SelectionMode.ALL_BARS])
+    def test_labels_must_have_an_integer_dtype(self, labels, mode):
+        # an integer cast would give [0, 0.5, 1.9, 1.0] the gradient of
+        # [0, 0, 1, 1] bit for bit
+        mlp = small_mlp()
+        batch = np.random.default_rng(1).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            backward_combined(mlp, batch, labels, mode)
+        backward_combined(mlp, batch, [0, 0, 1, 1], mode)  # a list of ints is fine
+
     def test_entropy_requires_hidden_layer(self):
         mlp = MLP.init([3, 3], np.random.default_rng(0))
         mlp.weights[0][...] = np.eye(3)

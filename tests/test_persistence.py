@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,14 @@ class TestBarcode:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             vr_barcode_0d(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "d", [np.float64(3.0), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 3))], ids=["0d", "1d", "3d", "2x3"]
+    )
+    def test_input_that_is_not_a_square_matrix_is_named_by_shape(self, d):
+        # a 0-D input has no first dimension to read
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(d)}")):
+            vr_barcode_0d(d)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_distances_rejected(self, bad):

@@ -229,6 +229,12 @@ class TestPerClassLoss:
         with pytest.raises(ValueError, match="NaN or Inf"):
             per_class_entropy_loss(cloud, [0, 0, 0, 0, 1])
 
+    @pytest.mark.parametrize("labels", [[0, 0, 1.7, 1.2], np.array([True, True, False, False])])
+    def test_labels_must_have_an_integer_dtype(self, labels):
+        # an integer cast would train [0, 0, 1.7, 1.2] as [0, 0, 1, 1]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            per_class_entropy_loss(random_cloud(0, n=4), labels)
+
     def test_labels_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
             per_class_entropy_loss(random_cloud(0), np.zeros((10, 1), dtype=int))
