@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,7 +56,7 @@ def load_cloud_csv(path) -> LoadedCloud:
                 # too, at about 0.4 MB more peak RSS on a 650 KB file)
                 if fh.read(1) != "\ufeff":
                     fh.seek(0)
-                rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+                rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
         except UnicodeDecodeError:
             # the stream counts the offset from its failing 8 KB chunk; one
             # decode of the whole file raises again with the file's offset
@@ -79,14 +81,16 @@ def load_cloud_csv(path) -> LoadedCloud:
     # a header fixes the column count; without one, the first row does
     width = len(header) if header else len(rows[0])
     n_coords = width - 1 if has_labels else width
-    # one float()/int() per cell and one finiteness check; the cells keep their
-    # strip() because float() and int() do not skip the \x1c-\x1f separators
-    # that str.strip() removes
+    # one float()/int() per cell, parsed in one flat pass over the coordinate
+    # cells, and one finiteness check; the cells keep their strip() because
+    # float() and int() do not skip the \x1c-\x1f separators that str.strip()
+    # removes
     try:
         if n_coords and all(len(row) == width for row in rows):
+            coord_rows = map(itemgetter(slice(n_coords)), rows) if has_labels else rows
             points = np.array(
-                [list(map(float, map(str.strip, row[:n_coords]))) for row in rows], dtype=np.float64
-            )
+                list(map(float, map(str.strip, chain.from_iterable(coord_rows)))), dtype=np.float64
+            ).reshape(len(rows), n_coords)
             labels = np.array([int(row[-1].strip()) for row in rows], dtype=np.int64) if has_labels else None
             if np.isfinite(points).all() and (labels is None or (labels >= 0).all()):
                 return LoadedCloud(points=points, labels=labels)

@@ -12,10 +12,11 @@ strictly by (length, i, j) with i < j.  Under a strict total order the MST
 is unique, so any correct MST algorithm returns the same edges; this module
 uses dense O(N^2) Prim, which needs no edge sort.  Prim keeps only a key per
 point outside the tree, the length of its least edge to the tree, and each
-step lowers the keys with one masked minimum against the joining point's
-row; no parent array is kept.  For a fixed point t, equal-length edges
-order by the other endpoint, so t's edge goes to the smallest-index tree
-point at distance key[t].  Among outside points with the least key, Prim
+step lowers the keys with the joining point's row, lifted to +inf at tree
+points and left as it is elsewhere, in two unmasked ufuncs; no parent array
+is kept.  For a fixed point t, equal-length edges order by the other
+endpoint, so t's edge goes to the smallest-index tree point at distance
+key[t].  Among outside points with the least key, Prim
 adds the one whose edge (min(p, t), max(p, t)) is smallest.  Such ties are
 rare, so each step probes for one before searching: it sets the chosen
 point's key to +inf and looks again at the minimum; only when that still
@@ -110,12 +111,17 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
         raise ValueError("distance matrix has non-finite entries")
 
     # key[t]: length of the least edge from the tree to outside point t;
-    # points in the tree hold key +inf.  The loop records each joining point
-    # and its key; the tree endpoints are recovered after it.
+    # points in the tree hold key +inf.  lift is +inf at tree points and
+    # -inf outside, so maximum(d[t], lift) keeps every outside entry as it
+    # is, -0.0 included (adding a 0/+inf penalty would make it +0.0), and
+    # an unmasked minimum with it leaves tree keys at +inf.  The loop
+    # records each joining point and its key; the tree endpoints are
+    # recovered after it.
     key = d[0].copy()
     key[0] = np.inf
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
+    lift = np.full(n, -np.inf)
+    lift[0] = np.inf
+    row = np.empty(n)
     tails = []
     lengths = []
     # argmin stands in for min(): at small N most of a ufunc reduction's
@@ -129,13 +135,14 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
             # each candidate's endpoint being its smallest tree point at length
             key[t] = length
             ties = (key == length).nonzero()[0]
-            p = ((d[ties] == length) & ~outside).argmax(axis=1)
+            p = ((d[ties] == length) & (lift > 0)).argmax(axis=1)
             t = ties[(np.minimum(p, ties) * n + np.maximum(p, ties)).argmin()]
             key[t] = np.inf
         tails.append(t)
         lengths.append(length)
-        outside[t] = False
-        np.minimum(key, d[t], out=key, where=outside)
+        lift[t] = np.inf
+        np.maximum(d[t], lift, out=row)
+        np.minimum(key, row, out=key)
 
     tails = np.array(tails, dtype=np.intp)
     lengths = np.array(lengths)

@@ -26,8 +26,8 @@ def _entropy(lengths):
     total = sum(lengths)
     acc = 0.0
     for l in lengths:
-        if l > 0.0:
-            p = l / total
+        p = l / total
+        if p > 0.0:  # a share that underflows to 0 adds nothing, as a zero bar
             acc -= p * math.log(p)
     return acc
 

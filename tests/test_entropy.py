@@ -211,6 +211,7 @@ class TestSelectFeatures:
         assert zeroed != lengths
         got, want = select_features(lengths), select_features(zeroed)
         assert (got.selected, got.noise, got.q_trace) == (want.selected, want.noise, want.q_trace)
+        assert reference_feature_lengths(lengths) == [1e10]
 
     @pytest.mark.parametrize(
         "bad", [[np.nan], [np.inf], [-1.0], [1.0, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1e308, 1e308, -1.0]]

@@ -63,11 +63,20 @@ class TestPairwiseDistances:
 
     @pytest.mark.parametrize(
         "n,pairs_per_slice",
-        [(300, None), (363, None), (2048, None), (70, 256)],
-        ids=["two_blocks", "ragged_last_block", "64_blocks", "ragged_small_blocks"],
+        [(300, None), (363, None), (2048, None), (70, 256), (300, 256), (100, None)],
+        ids=[
+            "two_blocks",
+            "ragged_last_block",
+            "64_blocks",
+            "ragged_small_blocks",
+            "one_row_blocks_ragged_last_strip",
+            "one_block_strips",
+        ],
     )
     def test_block_fill_matches_rowwise_oracle(self, monkeypatch, n, pairs_per_slice):
-        # n <= 12 below is a single block; these sizes fill and mirror many
+        # n <= 12 below is a single block; these sizes fill and mirror many.
+        # Blocks of 27, 22, 4, 3, 1 and 81 rows make strips of 81, 66, 64,
+        # 66, 64 and 81 rows; every n but 2048 ends in a shorter strip
         if pairs_per_slice is not None:
             monkeypatch.setattr(geometry, "PAIRS_PER_SLICE", pairs_per_slice)
         x = np.random.default_rng(n).normal(scale=3.0, size=(n, 16))

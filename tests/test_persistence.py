@@ -225,6 +225,14 @@ class TestTieRules:
         assert kruskal_bars(d) == want
         assert bar_triples(vr_barcode_0d(d)) == want
 
+    def test_negative_zero_distance_keeps_its_sign(self):
+        # the key update must pass d[t]'s entries through unchanged: a bar
+        # equals its matrix entry bit for bit, so -0.0 stays -0.0
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, -0.0], [2.0, -0.0, 0.0]])
+        barcode = vr_barcode_0d(d)
+        assert np.signbit(barcode.lengths()).tolist() == [True, False]
+        assert bar_triples(barcode) == [(0.0, 1, 2), (1.0, 0, 1)]
+
     def test_input_matrix_is_left_untouched(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
