@@ -7,11 +7,11 @@
 
 Commands are pure functions of their inputs: the same file and flags always
 produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input or
-config (including coordinates so large that their distances or Gram matrix
-overflow to inf, training data with a single class, and a training output
-directory or file that cannot be created or written), 3 too few points
-(or too few distinct points for an entropy), 4 k out of range, 5 training
-diverged (a non-finite loss or parameter).
+config (including coordinates so large that their distances overflow to
+inf, training data with a single class, and a training output directory or
+file that cannot be created or written), 3 too few points (or too few
+distinct points for an entropy), 4 k out of range, 5 training diverged (a
+non-finite loss or parameter).
 
 A command returns EXIT_OK or raises; ``main`` alone turns the exception
 into its exit code and one ``error:`` line on stderr.  Unreadable files
@@ -110,9 +110,7 @@ def cmd_anisotropy(args) -> int:
     if args.k < 1 or args.k > min(points.shape):
         raise _CommandError(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
     try:
-        # anisotropy_profile rejects an overflowing Gram matrix; the warning would repeat that
-        with np.errstate(over="ignore"):
-            profile = anisotropy_profile(points, k_max=args.k, centered=args.centered)
+        profile = anisotropy_profile(points, k_max=args.k, centered=args.centered)
     except ValueError as exc:
         raise _CommandError(EXIT_PARSE, str(exc)) from None
     payload = {str(k): profile.score(k) for k in range(1, args.k + 1)}
@@ -152,13 +150,16 @@ def cmd_train(args) -> int:
             print(f"seed {seed}: {len(run.records)} steps ({status})", file=sys.stderr)
 
     healthy = [r for r in runs if not r.diverged and len(r.records) >= 10]
+    summary_path = out_dir / "summary.json"
     if healthy:
         summary = {
             "config": asdict(cfg),
             "seeds": [r.seed for r in healthy],
             "metrics": summarize(healthy),
         }
-        (out_dir / "summary.json").write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
+        summary_path.write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
+    else:  # an earlier run's summary would not describe these metrics
+        summary_path.unlink(missing_ok=True)
 
     if any(r.diverged for r in runs):
         raise _CommandError(EXIT_DIVERGED, "at least one seed diverged; partial outputs retained")

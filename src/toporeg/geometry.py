@@ -22,7 +22,8 @@ exact, so the matrix is exactly symmetric.
 Singular values are computed from the Gram matrix of the smaller side with
 LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), which returns the
 values without forming singular vectors and costs one small symmetric
-eigenproblem of size min(N, D).
+eigenproblem of size min(N, D), on the matrix rescaled by a power of two:
+exact, so the scores keep their bits, and the Gram matrix cannot overflow.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ def pairwise_distances(x) -> np.ndarray:
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
     """Anisotropy scores for k = 1..k_max (default: the full spectrum).
 
-    Singular values within rounding noise of the input count as zero; raises
-    ValueError when none is left (every row equal, for ``centered``), and on
-    NaN or Inf entries or a Gram matrix that overflows float64.
+    Works on m rescaled by the power of two that brings max|m| into [0.5, 1),
+    which changes no score.  Singular values within rounding noise of the
+    input count as zero; raises ValueError when none is left (every entry
+    zero, or every row equal for ``centered``), and on NaN or Inf entries.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -118,16 +120,16 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
         k_max = rank_bound
     if not 1 <= k_max <= rank_bound:
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
+    peak = float(np.abs(m).max())  # NaN if any entry is
+    if not math.isfinite(peak):
+        raise ValueError("matrix contains NaN or Inf entries")
+    peak, exponent = math.frexp(peak)  # max|m| = peak * 2**exponent
+    m = np.ldexp(m, -exponent)
     # np.add.reduce / N is the computation ndarray.mean runs, minus its wrapper
     work = m - np.add.reduce(m, axis=0, keepdims=True) / m.shape[0] if centered else m
-    if not np.isfinite(work).all():
-        raise ValueError("matrix contains NaN or Inf entries")
     # singular values from the Gram matrix of the smaller side; it is PSD up
     # to round-off, so eigenvalues are clamped at zero before the square root
     gram = work @ work.T if work.shape[0] < work.shape[1] else work.T @ work
-    gram = (gram + gram.T) / 2.0
-    if not np.isfinite(gram).all():
-        raise ValueError("Gram matrix overflows float64")
     # eigvalsh returns ascending eigenvalues, so sigma is descending
     sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[::-1])
     # rank rule with two noise sources kept apart.  Centering error: as in
@@ -137,12 +139,9 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     # rounding: the eigensolver works on work's Gram matrix, so an
     # eigenvalue at or below max(N, D) * eps * sigma_max**2 is noise and a
     # zero singular value surfaces near sqrt(eps) * sigma_max; identical
-    # rows score exactly [1, 0, ...] raw.  That rule is tested on the sigma
-    # scale, sigma <= sqrt(max(N, D) * eps) * sigma_max, which squares
-    # nothing: sigma is finite and the factor is below 1 unless max(N, D)
-    # exceeds 1 / eps, so neither bound can overflow
+    # rows score exactly [1, 0, ...] raw
     noise = max(
-        max(m.shape) * math.sqrt(m.size) * _EPS * float(np.abs(m).max()),
+        max(m.shape) * math.sqrt(m.size) * _EPS * peak,
         math.sqrt(max(m.shape) * _EPS) * float(sigma[0]),
     )
     if sigma[-1] <= noise:  # sigma is sorted descending
@@ -150,6 +149,4 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     total = float((sigma * sigma).sum())
     if total == 0.0:
         raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")
-    if total == np.inf:
-        raise ValueError("anisotropy undefined: squared singular values overflow float64")
     return AnisotropyProfile(scores=(sigma[:k_max] ** 2) / total)

@@ -59,6 +59,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _check_fields(raw: dict, cls, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of ``raw`` that is not a field of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown config field")
+
+
 @dataclass
 class BlobSpec:
     n_per_class: int = 160
@@ -135,10 +143,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"{key}: unknown config field")
+        _check_fields(raw, cls)
         kwargs = dict(raw)
         data = kwargs.get("data")
         # validate() rejects data that is neither a blob spec nor a path
@@ -151,14 +156,9 @@ class ExperimentConfig:
                 raise ConfigError(f"data.csv: must be a file path string, got {path!r}")
             kwargs["data"] = path
         elif isinstance(data, dict):
-            try:
-                kwargs["data"] = BlobSpec(**data)
-            except TypeError as exc:
-                raise ConfigError(f"data: {exc}") from None
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"config: {exc}") from None
+            _check_fields(data, BlobSpec, "data.")
+            kwargs["data"] = BlobSpec(**data)
+        return cls(**kwargs)
 
 
 @dataclass

@@ -150,10 +150,10 @@ def backward_combined(
         reg = per_class_entropy_loss(reps, labels, mode)
         ent, ent_grad = reg.value, reg.grad
 
-    probs = e / rowsum
-    one_hot = np.zeros_like(probs)
-    one_hot[rows, labels] = 1.0
-    delta = (probs - one_hot) / n  # d(total)/d(logits)
+    # d(total)/d(logits) = (softmax - one_hot) / n, subtracting just the ones
+    delta = e / rowsum
+    delta[rows, labels] -= 1.0
+    delta /= n
 
     grad = np.empty_like(mlp.params)
     w_grads, b_grads = _layer_views(grad, mlp.dims)

@@ -8,13 +8,14 @@ count as features) is held fixed: persistence of this kind is piecewise
 smooth with locally constant pairings, so away from ties the frozen-structure
 gradient is the true gradient.
 
-With S the total active (clamped) length and lh_j = max(l_j, EPS):
+With S the total length of the active bars:
 
-    dE/dl_j   = (1/S) * (-log(lh_j) + sum_k lh_k*log(lh_k) / S)
-    dl_j/dx_a = (x_a - x_b) / lh_j      (negated for x_b)
+    dE/dl_j   = (1/S) * (-log(l_j) + sum_k l_k*log(l_k) / S)
+    dl_j/dx_a = (x_a - x_b) / l_j       (negated for x_b)
 
-where (a, b) are the MST endpoints of bar j.  The EPS clamp keeps gradients
-bounded when duplicate points produce zero-length bars.
+where (a, b) are the MST endpoints of bar j.  Zero-length bars (duplicate
+points) are skipped: they add nothing to the value, and their direction is
+0/0.  Nothing is clamped, so scaling the cloud by c scales the gradient by 1/c.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .entropy import persistent_entropy, select_features
 from .geometry import _points, pairwise_distances
 from .persistence import vr_barcode_0d
 
-EPS = 1e-12
-
 
 class SelectionMode(enum.Enum):
     ALL_BARS = "all_bars"
@@ -40,7 +39,7 @@ class SelectionMode(enum.Enum):
 class EntropyLossGrad:
     """Entropy value plus its gradient w.r.t. every point coordinate.
 
-    ``degenerate`` flags clouds whose active bars all have zero length
+    ``degenerate`` flags clouds with no active bar of positive length
     (every point duplicated); value and gradient are zero there.
     """
 
@@ -74,18 +73,19 @@ def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> Entrop
     if mode is SelectionMode.SELECTED_BARS:
         active = select_features(lengths).selected
         lengths, a, b = lengths[active], a[active], b[active]
+    positive = lengths > 0.0
+    lengths, a, b = lengths[positive], a[positive], b[positive]
 
     grad = np.zeros_like(x)
-    if float(lengths.sum()) <= 0.0:
+    if not lengths.size:
         return EntropyLossGrad(value=0.0, grad=grad, degenerate=True)
 
     value = persistent_entropy(lengths)
 
-    clamped = np.maximum(lengths, EPS)
-    s = float(clamped.sum())
-    log_clamped = np.log(clamped)
-    dE_dl = (-log_clamped + (clamped * log_clamped).sum() / s) / s
-    step = dE_dl[:, None] * ((x[a] - x[b]) / clamped[:, None])
+    s = float(lengths.sum())
+    log_l = np.log(lengths)
+    dE_dl = (-log_l + (lengths * log_l).sum() / s) / s
+    step = dE_dl[:, None] * ((x[a] - x[b]) / lengths[:, None])
     # one unbuffered scatter over (a_0, b_0, a_1, b_1, ...) adds in the order
     # of a per-bar loop of grad[a] += step; grad[b] -= step, so the sums are
     # bitwise the same

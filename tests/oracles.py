@@ -176,20 +176,22 @@ def kruskal_bars(dist) -> list[tuple[float, int, int]]:
     return bars
 
 
-def entropy_grad_loop(x, bars, eps) -> np.ndarray:
+def entropy_grad_loop(x, bars) -> np.ndarray:
     """Entropy gradient scattered bar by bar: grad[a] += g*dir, grad[b] -= g*dir.
 
-    ``bars`` lists the active (length, a, b) triples.  dE/dl is evaluated as
-    the closed form in the regularizer's docstring with the same numpy
-    expressions, so only the scatter differs and the sums compare bitwise.
+    ``bars`` lists the active (length, a, b) triples; zero-length bars are
+    dropped.  dE/dl is evaluated as the closed form in the regularizer's
+    docstring with the same numpy expressions, so only the scatter differs
+    and the sums compare bitwise.
     """
     x = np.asarray(x, dtype=float)
-    clamped = np.maximum(np.array([length for length, _, _ in bars]), eps)
-    s = float(clamped.sum())
-    dE_dl = (-np.log(clamped) + (clamped * np.log(clamped)).sum() / s) / s
+    bars = [bar for bar in bars if bar[0] > 0.0]
+    lengths = np.array([length for length, _, _ in bars])
+    s = float(lengths.sum())
+    dE_dl = (-np.log(lengths) + (lengths * np.log(lengths)).sum() / s) / s
     grad = np.zeros_like(x)
     for g, (length, a, b) in zip(dE_dl, bars):
-        direction = (x[a] - x[b]) / max(length, eps)
+        direction = (x[a] - x[b]) / length
         grad[a] += g * direction
         grad[b] -= g * direction
     return grad

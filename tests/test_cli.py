@@ -134,7 +134,6 @@ class TestUnreadableClouds:
             ["barcode"],
             ["entropy"],
             ["entropy", "--select", "features"],
-            ["anisotropy", "--k", "2", "--centered"],
         ],
     )
     def test_overflowing_distances_exit_2(self, tmp_path, capsys, argv):
@@ -201,6 +200,16 @@ class TestAnisotropyCommand:
         got = json.loads(capsys.readouterr().out)["1"]
         eigs = np.sort(np.linalg.eigvalsh(np.cov(pts, rowvar=False)))[::-1]
         assert got == pytest.approx(eigs[0] / eigs.sum(), rel=1e-8)
+
+    def test_coordinates_whose_distances_overflow_have_scores(self, tmp_path, capsys):
+        # the points are 2e308 apart, but anisotropy works on a rescaled copy
+        path = write_csv(tmp_path / "huge.csv", "1e308,1e308\n-1e308,-1e308\n0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(["anisotropy", path, "--k", "2", "--centered"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"1": 1.0, "2": 0.0}
 
     def test_seventeen_digit_float_format(self, tmp_path, capsys):
         path = write_csv(tmp_path / "t.csv", "1,0\n0,1\n1,1\n")
@@ -296,6 +305,7 @@ class TestTrainCommand:
             (dict(data={"csv": "a\x00b.csv"}), "data.csv"),
             (dict(data={"csv": "\ud800.csv"}), "data.csv"),
             (dict(seeds=[0, 0]), "seeds"),
+            (dict(data={"n_per_class": 40, "foo": 1}), "data.foo"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -368,6 +378,37 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 5
         lines = (out / "metrics_seed0.jsonl").read_text().splitlines()
         assert json.loads(lines[-1]) == {"step": 5, "diverged": True}
+
+    @pytest.mark.parametrize(
+        "overrides,code",
+        [(dict(base_lr=1e300), 5), (dict(epochs=1), 0)],
+        ids=["diverged", "fewer_than_10_steps"],
+    )
+    def test_run_without_a_summary_removes_a_stale_one(self, tmp_path, overrides, code):
+        out = tmp_path / "runs"
+        assert main(["train", "--config", train_config(tmp_path), "--out", str(out)]) == 0
+        assert (out / "summary.json").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", train_config(tmp_path, **overrides), "--out", str(out)]) == code
+        assert not (out / "summary.json").exists()
+        assert (out / "metrics_seed0.jsonl").exists()
+
+    def test_verbose_prints_one_line_per_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOREG_VERBOSE", "1")
+        cfg = train_config(tmp_path, seeds=[2, 0])
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["seed 2: 12 steps (ok)", "seed 0: 12 steps (ok)"]
+
+    def test_training_csv_without_labels_exits_2(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "data.csv", "x0,x1\n" + "".join(f"{i},{-i}\n" for i in range(40)))
+        cfg = train_config(tmp_path, data={"csv": data})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith("error: data: csv file must carry a trailing 'label' column")
 
     def test_csv_dataset_via_config(self, tmp_path):
         data = write_csv(tmp_path / "data.csv", two_class_csv_text())

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toporeg.geometry as geometry
@@ -144,10 +145,13 @@ class TestSingularValues:
             with pytest.raises(ValueError, match="NaN or Inf"):
                 anisotropy_profile(np.array([[1.0, np.nan], [2.0, 3.0]]), centered=centered)
 
-    def test_rejects_overflowing_gram_matrix(self):
-        # every entry is finite, but their squares are not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="Gram"):
-            anisotropy_profile(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    def test_gram_matrix_of_huge_entries_is_rescaled(self):
+        # 1e308 squared overflows float64, but the rescaled matrix's Gram
+        # matrix does not; sigma_2 / sigma_1 = 1e-308, so the scores are 1, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = anisotropy_profile(np.array([[1e308, 0.0], [0.0, 1.0]])).scores
+        np.testing.assert_array_equal(scores, [1.0, 0.0])
 
 
 class TestAnisotropy:
@@ -210,10 +214,19 @@ class TestAnisotropy:
         with pytest.raises(ValueError):
             anisotropy_profile(np.zeros((4, 3)), k_max=1)
 
-    def test_overflowing_spectrum_is_undefined(self):
-        # the Gram matrix diag(7e307, 7e307, 7e307) is finite, its trace is not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-            anisotropy_profile(np.sqrt(7e307) * np.eye(3), k_max=1)
+    def test_spectrum_whose_squares_overflow_is_rescaled(self):
+        # the Gram matrix diag(7e307, 7e307, 7e307) is finite, its trace is
+        # not; the rescaled matrix gives the three equal singular values
+        # equal scores
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = anisotropy_profile(np.sqrt(7e307) * np.eye(3)).scores
+        assert scores[0] == scores[1] == scores[2] == pytest.approx(1 / 3, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 2)], ids=["1d", "3d"])
+    def test_rejects_matrix_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            anisotropy_profile(np.ones(shape))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -226,6 +239,21 @@ class TestAnisotropy:
         base = anisotropy_profile(m, k_max=k).score(k)
         assert anisotropy_profile(c * m, k_max=k).score(k) == pytest.approx(base, abs=1e-9)
         assert anisotropy_profile(m[rng.permutation(n)], k_max=k).score(k) == pytest.approx(base, abs=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000), centered=st.booleans())
+    @example(seed=0, k=-1000, centered=False)
+    @example(seed=0, k=1000, centered=True)
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_keeps_every_bit(self, seed, k, centered):
+        # at the extremes the Gram matrix of the unscaled input over- or
+        # underflows; scaling by 2**k is exact, so the scores must not move
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(2, 40)), int(rng.integers(1, 17))
+        m = rng.normal(size=(n, dim)) + rng.normal(scale=3.0, size=dim)
+        # an entry below 2**-22 would turn subnormal at 2**-1000 and lose bits
+        m[np.abs(m) < 2.0**-22] = 0.0
+        base = anisotropy_profile(m, centered=centered).scores
+        assert np.array_equal(anisotropy_profile(np.ldexp(m, k), centered=centered).scores, base)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

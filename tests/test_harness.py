@@ -111,6 +111,7 @@ class TestExperimentConfig:
             # unhashable, so a bare dict lookup would raise TypeError
             (dict(regime=[1]), "regime"),
             (dict(regime={"a": 1}), "regime"),
+            (dict(data=5), "data: must be a blob spec or a csv path"),
         ],
     )
     def test_validation_names_the_field(self, kw, field):
@@ -120,6 +121,11 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="mystery"):
             ExperimentConfig.from_dict({"mystery": 1})
+
+    def test_from_dict_rejects_unknown_data_fields(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({"data": {"n_per_class": 16, "foo": 1}})
+        assert str(exc.value) == "data.foo: unknown config field"
 
     @pytest.mark.parametrize(
         "path,problem",

@@ -158,6 +158,11 @@ class TestBackwardCombined:
         with pytest.raises(ValueError):
             backward_combined(mlp, np.zeros((2, 3)), np.array([0, 5]), None)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [[0], [1]], 0], ids=["too_many", "2d", "scalar"])
+    def test_labels_must_have_one_entry_per_row(self, labels):
+        with pytest.raises(ValueError, match="labels shape"):
+            backward_combined(small_mlp(), np.zeros((2, 3)), labels, None)
+
     @pytest.mark.parametrize("labels", [[0, 0.5, 1.9, 1.0], np.array([False, False, True, True])])
     @pytest.mark.parametrize("mode", [None, SelectionMode.ALL_BARS])
     def test_labels_must_have_an_integer_dtype(self, labels, mode):

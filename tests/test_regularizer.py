@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toporeg.entropy import select_features
 from toporeg.geometry import pairwise_distances
 from toporeg.persistence import vr_barcode_0d
-from toporeg.regularizer import (
-    EPS,
-    SelectionMode,
-    entropy_loss_grad,
-    per_class_entropy_loss,
-)
+from toporeg.regularizer import SelectionMode, entropy_loss_grad, per_class_entropy_loss
 
 from gradcheck import entropy_grad_check, loss_value, discrete_structure
 from oracles import entropy_grad_loop
@@ -89,7 +84,7 @@ class TestScatterMatchesPerBarLoop:
         dim = int(rng.integers(1, 4))
         # a hub at the origin with points at one radius around it, so MST
         # endpoints are shared by several bars, plus random points; copies of
-        # rows add zero-length bars, whose gradient goes through the EPS clamp
+        # rows add zero-length bars, which the gradient skips
         hub = np.vstack([np.zeros(dim), np.eye(dim), -np.eye(dim)])
         rows = np.vstack([hub, rng.normal(scale=3.0, size=(n_distinct, dim))])
         x = np.vstack([rows, rows[rng.integers(0, len(rows), size=n_copies)]])
@@ -107,7 +102,7 @@ class TestScatterMatchesPerBarLoop:
         if res.degenerate:
             np.testing.assert_array_equal(res.grad, 0.0)
         else:
-            assert np.array_equal(res.grad, entropy_grad_loop(x, bars, EPS))
+            assert np.array_equal(res.grad, entropy_grad_loop(x, bars))
 
 
 class TestInvariances:
@@ -128,6 +123,22 @@ class TestInvariances:
         b = entropy_loss_grad(c * cloud, mode)
         assert b.value == pytest.approx(a.value, abs=1e-9)
         np.testing.assert_allclose(b.grad, a.grad / c, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-400, 400))
+    @example(seed=0, k=-400)
+    @example(seed=0, k=400)
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scale_keeps_the_value_and_scales_the_gradient(self, mode, seed, k):
+        # 2**k scales every bar exactly, so the value keeps its bits; the
+        # gradient scales by 2**-k up to the rounding of log(2**k * l)
+        rng = np.random.default_rng(seed)
+        cloud = rng.normal(size=(int(rng.integers(3, 33)), int(rng.integers(1, 9))))
+        base = entropy_loss_grad(cloud, mode)
+        scaled = entropy_loss_grad(np.ldexp(cloud, k), mode)
+        assert scaled.value == base.value
+        tol = max(1e-9 * float(np.abs(base.grad).max()), 1e-12)
+        assert np.abs(np.ldexp(scaled.grad, k) - base.grad).max() <= tol
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rotation_invariance_of_value(self, mode):
