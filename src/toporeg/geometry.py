@@ -10,20 +10,24 @@ where sigma_1 >= sigma_2 >= ... are the singular values of X.  Scores over
 all k = 1..min(N, D) form a distribution (they sum to 1); a score near 1 at
 k = 1 means the rows concentrate along a single direction.  With ``centered``
 the column mean is subtracted first, which turns the scores into normalized
-eigenvalues of the covariance matrix.
+eigenvalues of the covariance matrix.  Each call scores both variants, so
+one call per representation matrix gives the raw and the centered scores.
 
 Pairwise distances are computed in strips of at least 64 rows (the last
 may be shorter).  A strip fills its own square and everything right of it
 directly, in blocks of rows whose differences come from a row-repeated copy
 minus the contiguous columns, so numpy subtracts in long inner loops.  Each
 strip is then mirrored below itself in one transposed copy; the mirror is
-exact, so the matrix is exactly symmetric.
+exact, so the matrix is exactly symmetric.  A cloud far from unit scale is
+filled rescaled by a power of two and the matrix scaled back, so its
+squared differences neither underflow nor overflow.
 
-Singular values are computed from the Gram matrix of the smaller side with
-LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), which returns the
-values without forming singular vectors and costs one small symmetric
-eigenproblem of size min(N, D), on the matrix rescaled by a power of two:
-exact, so the scores keep their bits, and the Gram matrix cannot overflow.
+Singular values are computed from the Gram matrices of the smaller side,
+raw and centered, with LAPACK's symmetric eigensolver
+(``numpy.linalg.eigvalsh``), which returns the values without forming
+singular vectors.  Both eigenproblems, of size min(N, D), go to one stacked
+call, on the matrix rescaled by a power of two: exact, so the scores keep
+their bits, and the Gram matrices cannot overflow.
 """
 
 from __future__ import annotations
@@ -43,30 +47,39 @@ PAIRS_PER_SLICE = 8192
 # took 21 ms in 4-row strips, 6.4 in 32, 4.6 in 64, 5.0 in 128 and 11 in 256
 # (timeit, one core); a strip also computes both halves of its own square
 _STRIP_ROWS = 64
+# pairwise_distances fills a cloud as it is when max|x| < 2**e with |e| at
+# most this (a quarter of float64's exponent range): its squared differences
+# stay below 2**514, finite for any D below 2**500, and a difference of at
+# least 2**-254 times max|x| squares to a normal number.  Other clouds are
+# filled at max|x| in [0.5, 1) and the matrix is scaled back
+_DIRECT_EXPONENT = np.finfo(np.float64).maxexp // 4
 _EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
 class AnisotropyProfile:
-    """Anisotropy scores for k = 1..len(scores)."""
+    """Anisotropy scores for k = 1..len(scores), raw or centered as asked,
+    and the same k of the other variant, None where it is undefined."""
 
     scores: np.ndarray
+    other_scores: np.ndarray | None = None
 
     def score(self, k: int) -> float:
         return float(self.scores[k - 1])
 
 
-def _points(x) -> np.ndarray:
-    """``x`` as an N x D float64 array; raises ValueError unless N >= 1,
-    D >= 1 and every entry is finite."""
+def _points(x) -> tuple[np.ndarray, float]:
+    """``x`` as an N x D float64 array, and max|x|; raises ValueError unless
+    N >= 1, D >= 1 and every entry is finite."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"point cloud must be 2-D, got shape {x.shape}")
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"point cloud needs N >= 1 and D >= 1, got {x.shape}")
-    if not np.isfinite(x).all():
+    peak = float(np.maximum.reduce(np.abs(x), axis=None))  # NaN if any entry is
+    if not math.isfinite(peak):
         raise ValueError("point cloud contains NaN or Inf entries")
-    return x
+    return x, peak
 
 
 def pairwise_distances(x) -> np.ndarray:
@@ -84,8 +97,19 @@ def pairwise_distances(x) -> np.ndarray:
     exactly in IEEE arithmetic, so the result is exactly symmetric with a
     zero diagonal, bitwise equal to computing both triangles, and bitwise
     deterministic.
+
+    A cloud whose max|x| is 2**256 or more, or nonzero and below 2**-257,
+    is filled on x * 2**-e, where max|x| = f * 2**e with f in [0.5, 1), and
+    the matrix is scaled back by 2**e: both scalings are exact away from
+    subnormals, so bar lengths scale exactly with the cloud.  Distances
+    beyond float64's range come out as inf.
     """
-    x = _points(x)
+    x, peak = _points(x)
+    exponent = math.frexp(peak)[1]
+    if abs(exponent) <= _DIRECT_EXPONENT:
+        exponent = 0
+    else:
+        x = np.ldexp(x, -exponent)
     n, dim = x.shape
     d = np.empty((n, n), dtype=np.float64)
     rows = max(1, PAIRS_PER_SLICE // n)
@@ -101,16 +125,22 @@ def pairwise_distances(x) -> np.ndarray:
             np.subtract(flat, cols, out=flat)
             np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo:hi, s0:])
         d[s1:, s0:s1] = d[s0:s1, s1:].T
+    if exponent:
+        np.ldexp(d, exponent, out=d)
     return d
 
 
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
-    """Anisotropy scores for k = 1..k_max (default: the full spectrum).
+    """Anisotropy scores for k = 1..k_max (default: the full spectrum), raw
+    or ``centered``, with the other variant's scores as ``other_scores``.
 
     Works on m rescaled by the power of two that brings max|m| into [0.5, 1),
-    which changes no score.  Singular values within rounding noise of the
-    input count as zero; raises ValueError when none is left (every entry
-    zero, or every row equal for ``centered``), and on NaN or Inf entries.
+    which changes no score, and solves both spectra in one stacked
+    eigensolve, whose values are bitwise those of two single ones.  Singular
+    values within rounding noise of the input count as zero.  Raises
+    ValueError on NaN or Inf entries and when no singular value of the
+    requested variant is left (every entry zero, or every row equal for
+    ``centered``); ``other_scores`` is None where that holds for the other.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -124,29 +154,37 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     if not math.isfinite(peak):
         raise ValueError("matrix contains NaN or Inf entries")
     peak, exponent = math.frexp(peak)  # max|m| = peak * 2**exponent
-    m = np.ldexp(m, -exponent)
+    if exponent:  # tanh representations mostly have max|m| in [0.5, 1) already
+        m = np.ldexp(m, -exponent)
     # np.add.reduce / N is the computation ndarray.mean runs, minus its wrapper
-    work = m - np.add.reduce(m, axis=0, keepdims=True) / m.shape[0] if centered else m
-    # singular values from the Gram matrix of the smaller side; it is PSD up
-    # to round-off, so eigenvalues are clamped at zero before the square root
-    gram = work @ work.T if work.shape[0] < work.shape[1] else work.T @ work
-    # eigvalsh returns ascending eigenvalues, so sigma is descending
-    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[::-1])
+    shifted = m - np.add.reduce(m, axis=0, keepdims=True) / m.shape[0]
+    # singular values from the Gram matrices of the smaller side, raw then
+    # centered; they are PSD up to round-off, so eigenvalues are clamped at
+    # zero before the square root
+    gram = np.empty((2, rank_bound, rank_bound))
+    for work, out in zip((m, shifted), gram):
+        if m.shape[0] < m.shape[1]:
+            np.matmul(work, work.T, out=out)
+        else:
+            np.matmul(work.T, work, out=out)
+    # eigvalsh returns ascending eigenvalues, so each row of sigma descends
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[:, ::-1])
     # rank rule with two noise sources kept apart.  Centering error: as in
     # np.linalg.matrix_rank, a singular value at or below max(N, D) * eps
     # times sqrt(N * D) * max|m| (a bound on the Frobenius norm of the
-    # uncentered input) is noise, so identical rows raise centered.  Gram
-    # rounding: the eigensolver works on work's Gram matrix, so an
-    # eigenvalue at or below max(N, D) * eps * sigma_max**2 is noise and a
-    # zero singular value surfaces near sqrt(eps) * sigma_max; identical
+    # uncentered input) is noise, so identical rows have no centered
+    # spectrum.  Gram rounding: the eigensolver works on the Gram matrix, so
+    # an eigenvalue at or below max(N, D) * eps * sigma_max**2 is noise and
+    # a zero singular value surfaces near sqrt(eps) * sigma_max; identical
     # rows score exactly [1, 0, ...] raw
-    noise = max(
-        max(m.shape) * math.sqrt(m.size) * _EPS * peak,
-        math.sqrt(max(m.shape) * _EPS) * float(sigma[0]),
-    )
-    if sigma[-1] <= noise:  # sigma is sorted descending
-        sigma[sigma <= noise] = 0.0
-    total = float((sigma * sigma).sum())
-    if total == 0.0:
+    floor = max(m.shape) * math.sqrt(m.size) * _EPS * peak
+    gram_noise = math.sqrt(max(m.shape) * _EPS)
+    noise = np.array([[max(floor, gram_noise * s)] for s in sigma[:, 0].tolist()])
+    sigma *= sigma > noise  # zeroes the noise; sigma is finite and >= 0
+    squares = sigma * sigma
+    totals = np.add.reduce(squares, axis=1).tolist()
+    raw_scores, centered_scores = (sq[:k_max] / t if t else None for sq, t in zip(squares, totals))
+    scores, other = (centered_scores, raw_scores) if centered else (raw_scores, centered_scores)
+    if scores is None:
         raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")
-    return AnisotropyProfile(scores=(sigma[:k_max] ** 2) / total)
+    return AnisotropyProfile(scores=scores, other_scores=other)

@@ -4,10 +4,10 @@ A run trains the classifier on synthetic Gaussian blobs (or a labeled CSV)
 under one of three regimes: no regularization, entropy loss on selected
 bars, or entropy loss on all bars.  Every step logs the training-loss
 breakdown, validation accuracy, and the first three anisotropy scores (raw
-and centered) of the representation layer on a fixed held-out batch, so
-trajectories are directly comparable across regimes.  Summaries average each
-metric over the last 30% of steps per seed, then report mean and population
-standard deviation over seeds.
+and centered, both from one anisotropy_profile call) of the representation
+layer on a fixed held-out batch, so trajectories are directly comparable
+across regimes.  Summaries average each metric over the last 30% of steps
+per seed, then report mean and population standard deviation over seeds.
 
 All randomness (data, init, batch order) derives from the seed: two runs
 with an identical config and seed produce identical metric streams.
@@ -15,7 +15,6 @@ with an identical config and seed produce identical metric streams.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -38,6 +37,9 @@ EVAL_BATCH_SIZE = 64
 SUMMARY_TAIL_FRACTION = 0.3
 
 ANISOTROPY_KS = (1, 2, 3)
+_ANISOTROPY_K_MAX = max(ANISOTROPY_KS)
+# per k, in record order: the raw and the centered score's keys, and k - 1
+_ANISOTROPY_FIELDS = tuple((f"anisotropy_raw_{k}", f"anisotropy_centered_{k}", k - 1) for k in ANISOTROPY_KS)
 
 # substreams for per-seed generators, so data/init/batch-order draws stay
 # independent of each other
@@ -223,21 +225,30 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
 
 def _evaluate(mlp, val_x, val_y) -> dict:
     """Accuracy on every validation row and anisotropy on the first
-    EVAL_BATCH_SIZE; a score is 0.0 past the rank bound, and every score is
-    0.0 where anisotropy_profile finds no singular value above rounding
-    noise: representations all zero, or all equal when centered."""
+    EVAL_BATCH_SIZE, raw and centered from one anisotropy_profile call.
+
+    A score is 0.0 past the rank bound, and every score of a variant is 0.0
+    where anisotropy_profile finds no singular value above rounding noise
+    in it: representations all zero (raw, which raises, and centered), or
+    all equal (centered, which comes back as None)."""
     logits, reps, _ = forward(mlp, val_x)
-    accuracy = np.count_nonzero(logits.argmax(axis=1) == val_y) / val_y.size
+    accuracy = int(np.count_nonzero(logits.argmax(axis=1) == val_y)) / val_y.size
     reps = reps[:EVAL_BATCH_SIZE]
-    k_max = min(max(ANISOTROPY_KS), min(reps.shape))
-    scores = np.zeros((2, max(ANISOTROPY_KS)))  # rows: raw, centered
-    for row, centered in enumerate((False, True)):
-        with contextlib.suppress(ValueError):
-            scores[row, :k_max] = anisotropy_profile(reps, k_max=k_max, centered=centered).scores
+    k_max = min(_ANISOTROPY_K_MAX, min(reps.shape))
+    raw = centered = [0.0] * _ANISOTROPY_K_MAX
+    try:
+        profile = anisotropy_profile(reps, k_max=k_max)
+    except ValueError:  # every representation is zero
+        pass
+    else:
+        pad = [0.0] * (_ANISOTROPY_K_MAX - k_max)
+        raw = profile.scores.tolist() + pad
+        if profile.other_scores is not None:
+            centered = profile.other_scores.tolist() + pad
     rec = {"val_accuracy": accuracy}
-    for k in ANISOTROPY_KS:
-        rec[f"anisotropy_raw_{k}"] = float(scores[0, k - 1])
-        rec[f"anisotropy_centered_{k}"] = float(scores[1, k - 1])
+    for raw_key, centered_key, i in _ANISOTROPY_FIELDS:
+        rec[raw_key] = raw[i]
+        rec[centered_key] = centered[i]
     return rec
 
 

@@ -131,15 +131,17 @@ def backward_combined(
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch of {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+    # argmin and argmax stand in for min() and max(), which cost more at this size
+    if labels.size and (labels[labels.argmin()] < 0 or labels[labels.argmax()] >= logits.shape[1]):
         raise ValueError("labels out of range for the logit dimension")
 
     # mean softmax cross-entropy and the softmax itself from one
     # max-shifted exponential
     rows = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # the ufunc reductions that ndarray.max and .sum run, minus their wrappers
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    rowsum = e.sum(axis=1, keepdims=True)
+    rowsum = np.add.reduce(e, axis=1, keepdims=True)
     ce = float(np.add.reduce(np.log(rowsum[:, 0]) - shifted[rows, labels]) / n)
 
     ent = 0.0
@@ -160,7 +162,7 @@ def backward_combined(
     last = len(mlp.weights) - 1
     for l in range(last, -1, -1):
         np.matmul(activations[l].T, delta, out=w_grads[l])
-        np.sum(delta, axis=0, out=b_grads[l])
+        np.add.reduce(delta, axis=0, out=b_grads[l])
         if l == 0:
             break
         dh = delta @ mlp.weights[l].T

@@ -113,7 +113,7 @@ def per_class_entropy_loss(
     even in a skipped class.
     """
     _check_mode(mode)
-    x = _points(x)
+    x, _ = _points(x)
     labels = _labels(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D sequence of class indices")

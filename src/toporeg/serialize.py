@@ -1,19 +1,18 @@
 """JSON emission with a fixed numeric format.
 
-The standard library's encoder renders strings, keys, true/false and null.
-On top of it every float gets 17 significant digits (%.17g), which
-round-trips IEEE doubles and keeps reruns byte-identical whatever the
-interpreter's float repr; a non-finite float raises ValueError, and a type
-other than dict (string keys), list, str, int, float, bool or None raises
+Strings and keys are escaped by the standard library's
+json.encoder.encode_basestring, as JSONEncoder(ensure_ascii=False) does.
+Every float gets 17 significant digits (%.17g), which round-trips IEEE
+doubles and keeps reruns byte-identical whatever the interpreter's float
+repr; a non-finite float raises ValueError, and a type other than dict
+(string keys), list, str, int, float, bool or None raises
 TypeError.
 """
 
 from __future__ import annotations
 
-import json
 import math
-
-_encode = json.JSONEncoder(ensure_ascii=False).encode  # str, bool and None
+from json.encoder import encode_basestring  # what JSONEncoder(ensure_ascii=False).encode runs on a str
 
 
 def dump_json(obj, indent: int = 0) -> str:
@@ -29,8 +28,12 @@ def _dump(obj, indent: int, newline: str) -> str:
         if not math.isfinite(obj):
             raise ValueError(f"refusing to serialize non-finite float {obj!r}")
         return format(obj, ".17g")
-    if isinstance(obj, (str, bool)) or obj is None:
-        return _encode(obj)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, int):
         return str(obj)  # json.dumps per int would triple the time of long index lists
     if not isinstance(obj, (dict, list)):
@@ -43,7 +46,7 @@ def _dump(obj, indent: int, newline: str) -> str:
     for key in obj:
         if not isinstance(key, str):
             raise TypeError(f"JSON object keys must be strings, got {key!r}")
-    body = sep.join([f"{_encode(key)}: {_dump(value, indent, inner)}" for key, value in obj.items()])
+    body = sep.join([f"{encode_basestring(key)}: {_dump(value, indent, inner)}" for key, value in obj.items()])
     return "{" + inner + body + newline + "}" if obj else "{}"
 
 

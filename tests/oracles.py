@@ -390,3 +390,25 @@ def scan_select_features(lengths):
     selected = sorted(features)
     noise = [i for i in range(n) if i not in features]
     return selected, noise, alpha, trace
+
+
+def single_spectrum_scores(m, k_max: int, centered: bool):
+    """Anisotropy scores of one variant, raw or centered, from its own
+    eigensolve on a single Gram matrix: the rescale, Gram matrix, clamp and
+    rank rule of ``anisotropy_profile`` for one spectrum, so its stacked
+    solve must agree bit for bit.  None where no singular value is left
+    above rounding noise."""
+    m = np.asarray(m, dtype=np.float64)
+    peak, exponent = math.frexp(float(np.abs(m).max()))
+    m = np.ldexp(m, -exponent)
+    work = m - m.sum(axis=0, keepdims=True) / m.shape[0] if centered else m
+    gram = work @ work.T if work.shape[0] < work.shape[1] else work.T @ work
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[::-1])
+    eps = float(np.finfo(np.float64).eps)
+    noise = max(
+        max(m.shape) * math.sqrt(m.size) * eps * peak,
+        math.sqrt(max(m.shape) * eps) * float(sigma[0]),
+    )
+    sigma[sigma <= noise] = 0.0
+    total = float((sigma * sigma).sum())
+    return (sigma[:k_max] ** 2) / total if total else None

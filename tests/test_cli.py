@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -127,6 +129,25 @@ class TestEntropyCommand:
         assert "Traceback" not in captured.err
 
 
+class TestTinyClouds:
+    # three distinct points whose squared differences underflow to 0
+    TEXT = "0,0\n1e-170,0\n0,3e-170\n"
+
+    def test_barcode_has_two_nonzero_bars(self, tmp_path, capsys):
+        assert main(["barcode", write_csv(tmp_path / "tiny.csv", self.TEXT)]) == 0
+        bars = json.loads(capsys.readouterr().out)["bars"]
+        assert [bar["length"] for bar in bars] == [3e-170, 1e-170]
+
+    @pytest.mark.parametrize("select", ["all", "features"])
+    def test_entropy_exits_0_with_the_unit_scale_result(self, tmp_path, capsys, select):
+        assert main(["entropy", write_csv(tmp_path / "tiny.csv", self.TEXT), "--select", select]) == 0
+        tiny = json.loads(capsys.readouterr().out)
+        assert main(["entropy", write_csv(tmp_path / "unit.csv", "0,0\n1,0\n0,3\n"), "--select", select]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        assert tiny == pytest.approx(unit, rel=1e-15)
+        assert tiny["n_bars"] == 2
+
+
 class TestUnreadableClouds:
     @pytest.mark.parametrize(
         "argv",
@@ -234,6 +255,18 @@ def train_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write_csv(tmp_path / "cloud.csv", "0,0\n3,4\n1,1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toporeg", "barcode", path], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    rc, out, _ = run_main(["barcode", path])
+    assert rc == 0 and proc.stdout == out.encode("utf-8")
 
 
 class TestTrainCommand:

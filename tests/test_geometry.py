@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toporeg.geometry as geometry
+from toporeg.entropy import persistent_entropy, select_features
 from toporeg.geometry import anisotropy_profile, pairwise_distances
+from toporeg.persistence import vr_barcode_0d
 from toporeg.regularizer import entropy_loss_grad, per_class_entropy_loss
 
-from oracles import rowwise_distance_matrix, scalar_distance_matrix
+from oracles import rowwise_distance_matrix, scalar_distance_matrix, single_spectrum_scores
 
 
 def reference_singular_values(m):
@@ -102,6 +104,65 @@ class TestPairwiseDistances:
             for j in range(n):
                 for k in range(n):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+class TestScaleFreeDistances:
+    """Clouds far from unit scale are filled rescaled by a power of two, so
+    distances, bars, entropy and selection do not depend on the scale."""
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000))
+    @example(seed=0, k=-1000)
+    @example(seed=0, k=1000)
+    @example(seed=1, k=-260)
+    @example(seed=1, k=252)
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_scales_bars_exactly(self, seed, k):
+        # coordinates on a 1/64 grid below 2**4: every nonzero difference
+        # is at least 2**-6, so no square or distance turns subnormal or
+        # overflows at 2**k, inside the direct range or outside it
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(2, 20)), int(rng.integers(1, 7))
+        x = rng.integers(-1000, 1001, size=(n, dim)) / 64.0
+        x[rng.integers(0, n)] = x[0]  # sometimes a duplicate point
+        base = vr_barcode_0d(pairwise_distances(x))
+        scaled = vr_barcode_0d(pairwise_distances(np.ldexp(x, k)))
+        assert np.array_equal(scaled.lengths(), np.ldexp(base.lengths(), k))
+        assert np.array_equal(scaled.a, base.a) and np.array_equal(scaled.b, base.b)
+        if base.lengths().any():
+            assert persistent_entropy(scaled.lengths()) == persistent_entropy(base.lengths())
+            got, want = select_features(scaled.lengths()), select_features(base.lengths())
+            assert (got.selected, got.noise, got.alpha) == (want.selected, want.noise, want.alpha)
+
+    @pytest.mark.parametrize("k", [-262, -261, -260, -259, -258, 250, 251, 252, 253, 254, 255])
+    def test_both_sides_of_the_direct_range(self, k):
+        # max|x| = 2**(k + 2) crosses 2**-257 between k = -260 and -259, and
+        # 2**256 between k = 253 and 254
+        d = pairwise_distances(np.ldexp([[0.0, 0.0], [3.0, 4.0]], k))
+        assert d[0, 1] == d[1, 0] == math.ldexp(5.0, k)
+        assert d[0, 0] == d[1, 1] == 0.0
+
+    @pytest.mark.parametrize("exponent", [-256, -200, 0, 200, 256])
+    def test_clouds_inside_the_direct_range_are_filled_as_they_are(self, exponent):
+        # half the points lie 2**-280 times max|x| from the origin; at
+        # max|x| ~ 2**-256 their squared differences are subnormal, so a
+        # rescaled fill would round them differently
+        rng = np.random.default_rng(exponent + 1000)
+        x = rng.uniform(0.5, 1.0, size=(12, 3))
+        x[6:] *= 2.0**-280
+        x = np.ldexp(x, exponent)  # max|x| just below 2**exponent
+        assert np.array_equal(pairwise_distances(x), rowwise_distance_matrix(x))
+
+    def test_tiny_distinct_points_keep_their_bars(self):
+        # squared, these differences underflow to 0 at their own scale
+        x = np.array([[0.0, 0.0], [1e-170, 0.0], [0.0, 3e-170]])
+        lengths = np.sort(vr_barcode_0d(pairwise_distances(x)).lengths())
+        assert lengths.tolist() == [1e-170, 3e-170]
+
+    def test_distances_beyond_float64_come_out_inf(self):
+        with np.errstate(over="ignore"):
+            d = pairwise_distances([[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]])
+        assert d[0, 1] == d[1, 0] == np.inf
+        assert d[0, 2] == d[2, 0] == math.hypot(1e308, 1e308)
 
 
 class TestSingularValues:
@@ -271,3 +332,65 @@ class TestAnisotropy:
         full = anisotropy_profile(m)
         head = anisotropy_profile(m, k_max=3)
         np.testing.assert_allclose(head.scores, full.scores[:3], rtol=1e-12)
+
+
+class TestBothSpectra:
+    """One call scores the raw and the centered spectrum; each agrees bit for
+    bit with a single-spectrum eigensolve, and the other variant is None
+    exactly where that solve finds no singular value above noise."""
+
+    @staticmethod
+    def check(m, k_max):
+        for centered in (False, True):
+            want = single_spectrum_scores(m, k_max, centered)
+            want_other = single_spectrum_scores(m, k_max, not centered)
+            if want is None:
+                with pytest.raises(ValueError, match="no singular value"):
+                    anisotropy_profile(m, k_max=k_max, centered=centered)
+                continue
+            profile = anisotropy_profile(m, k_max=k_max, centered=centered)
+            assert profile.scores.tobytes() == want.tobytes()
+            if want_other is None:
+                assert profile.other_scores is None
+            else:
+                assert profile.other_scores.tobytes() == want_other.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,kind",
+        [((64, 16), "normal"), ((5, 16), "normal"), ((64, 16), "offset"), ((7, 3), "zero"),
+         ((64, 16), "collapsed"), ((5, 16), "collapsed"), ((1, 4), "normal"), ((9, 6), "rank_one")],
+        ids=["tall", "wide", "offset", "all_zero", "collapsed_tall", "collapsed_wide", "one_row", "rank_one"],
+    )
+    def test_named_cases(self, shape, kind):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=shape)
+        if kind == "offset":
+            m += 1e3 * rng.normal(size=shape[1])
+        elif kind == "zero":
+            m[...] = 0.0
+        elif kind == "collapsed":
+            m[...] = m[0]
+        elif kind == "rank_one":
+            m = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+        for k_max in (1, min(shape)):
+            self.check(m, k_max)
+
+    def test_collapsed_rows_have_no_centered_scores(self):
+        m = np.tile([0.5, -2.0, 3.0], (8, 1))
+        assert anisotropy_profile(m).other_scores is None
+        with pytest.raises(ValueError, match="no singular value"):
+            anisotropy_profile(m, centered=True)
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["normal", "offset", "collapsed", "sparse"]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_matrices(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        m = rng.normal(size=(n, dim)) * 10.0 ** float(rng.integers(-20, 21))
+        if kind == "offset":
+            m += rng.normal(scale=1e4, size=dim) * np.abs(m).max()
+        elif kind == "collapsed":
+            m[...] = m[0]
+        elif kind == "sparse":
+            m[rng.random(size=m.shape) < 0.7] = 0.0
+        self.check(m, int(rng.integers(1, min(n, dim) + 1)))

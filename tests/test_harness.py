@@ -5,6 +5,7 @@ import pytest
 
 import toporeg.harness as harness
 import toporeg.regularizer as regularizer
+from toporeg.geometry import anisotropy_profile
 from toporeg.model import MLP
 from toporeg.harness import (
     BlobSpec,
@@ -227,6 +228,52 @@ class TestRunSeed:
         assert all(rec["anisotropy_centered_1"] == 0.0 for rec in run.records)
         # raw, they span one direction, so every later score is 0
         assert all(rec["anisotropy_raw_2"] == rec["anisotropy_raw_3"] == 0.0 for rec in run.records)
+
+    def test_every_record_value_is_a_python_scalar(self):
+        run = run_seed(smoke_config(regime="selected_bars"), 0)
+        for rec in run.records:
+            assert type(rec["step"]) is int
+            assert all(type(v) is float for key, v in rec.items() if key != "step"), rec
+
+    @staticmethod
+    def separate_scores(reps, centered):
+        """The first three scores from their own anisotropy_profile call,
+        0.0 past the rank bound or where the call raises."""
+        k_max = min(3, min(reps.shape))
+        try:
+            scores = anisotropy_profile(reps, k_max=k_max, centered=centered).scores.tolist()
+        except ValueError:
+            scores = [0.0] * k_max
+        return scores + [0.0] * (3 - k_max)
+
+    @pytest.mark.parametrize(
+        "dims,n_val,kind",
+        [([4, 8, 2], 80, "tall"), ([4, 16, 2], 5, "wide"), ([4, 16, 2], 2, "two_rows"),
+         ([4, 8, 2], 30, "all_zero"), ([4, 8, 2], 30, "collapsed"), ([4, 6, 3, 2], 70, "tall_deep")],
+        ids=["tall", "wide", "two_rows", "all_zero", "collapsed", "tall_deep"],
+    )
+    def test_evaluate_equals_separate_single_variant_calls_bitwise(self, dims, n_val, kind):
+        mlp = MLP.init(dims, np.random.default_rng(len(dims) + n_val))
+        rng = np.random.default_rng(n_val)
+        val_x, val_y = rng.normal(size=(n_val, 4)), rng.integers(0, 2, size=n_val)
+        if kind == "all_zero":
+            mlp.params[...] = 0.0
+        elif kind == "collapsed":
+            val_x[...] = val_x[0]
+        reps = harness.forward(mlp, val_x)[1][: harness.EVAL_BATCH_SIZE]
+        rec = harness._evaluate(mlp, val_x, val_y)
+        raw, centered = self.separate_scores(reps, False), self.separate_scores(reps, True)
+        got_raw = [rec[f"anisotropy_raw_{k}"] for k in (1, 2, 3)]
+        got_centered = [rec[f"anisotropy_centered_{k}"] for k in (1, 2, 3)]
+        assert all(type(v) is float for v in got_raw + got_centered)
+        assert np.array(got_raw).tobytes() == np.array(raw).tobytes()
+        assert np.array(got_centered).tobytes() == np.array(centered).tobytes()
+        if kind == "all_zero":
+            assert got_raw == got_centered == [0.0, 0.0, 0.0]
+        elif kind == "collapsed":
+            assert got_centered == [0.0, 0.0, 0.0] and got_raw == [1.0, 0.0, 0.0]
+        else:
+            assert got_raw[0] > 0.0 and got_centered[0] > 0.0
 
     def test_objective_breakdown_identity_in_records(self):
         cfg = smoke_config(regime="all_bars", entropy_weight=0.5)

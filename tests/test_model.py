@@ -158,6 +158,16 @@ class TestBackwardCombined:
         with pytest.raises(ValueError):
             backward_combined(mlp, np.zeros((2, 3)), np.array([0, 5]), None)
 
+    @pytest.mark.parametrize("row", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "n_classes"])
+    @pytest.mark.parametrize("mode", [None, SelectionMode.SELECTED_BARS])
+    def test_label_out_of_range_raises_wherever_it_sits(self, row, label, mode):
+        labels = np.array([0, 1, 0, 1, 1])
+        labels[row] = label
+        batch = np.random.default_rng(row).normal(size=(5, 3))
+        with pytest.raises(ValueError, match="labels out of range"):
+            backward_combined(small_mlp(), batch, labels, mode)
+
     @pytest.mark.parametrize("labels", [[0, 1, 0], [[0], [1]], 0], ids=["too_many", "2d", "scalar"])
     def test_labels_must_have_one_entry_per_row(self, labels):
         with pytest.raises(ValueError, match="labels shape"):

@@ -140,6 +140,16 @@ class TestInvariances:
         tol = max(1e-9 * float(np.abs(base.grad).max()), 1e-12)
         assert np.abs(np.ldexp(scaled.grad, k) - base.grad).max() <= tol
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e154, 1e300])
+    def test_clouds_far_from_unit_scale_keep_the_value(self, scale):
+        # their squared differences underflow or overflow; the distances do not
+        cloud = np.random.default_rng(0).normal(size=(32, 4))
+        base = entropy_loss_grad(cloud)
+        scaled = entropy_loss_grad(cloud * scale)
+        assert not scaled.degenerate
+        assert scaled.value == pytest.approx(base.value, rel=1e-12)
+        np.testing.assert_allclose(scaled.grad * scale, base.grad, rtol=1e-9, atol=1e-12)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_rotation_invariance_of_value(self, mode):
         cloud = random_cloud(3)

@@ -23,6 +23,17 @@ def test_plain_strings_unchanged():
     )
 
 
+@pytest.mark.parametrize(
+    "key",
+    ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "é ü 漢 \U0001f600", "lone \ud800 \udfff", ""],
+    ids=["quotes", "backslash", "controls", "non_ascii", "lone_surrogates", "empty"],
+)
+def test_keys_and_strings_render_as_the_standard_encoder_does(key):
+    encoded = json.JSONEncoder(ensure_ascii=False).encode(key)
+    assert dump_json({key: key}) == f"{{{encoded}: {encoded}}}"
+    assert dump_json({key: [key]}, indent=2) == f"{{\n  {encoded}: [\n    {encoded}\n  ]\n}}"
+
+
 # characters the string encoder must escape or keep: controls, quotes,
 # backslashes, non-ASCII text and lone surrogates
 CHARACTERS = st.one_of(
