@@ -11,21 +11,25 @@ each bar, so ties must be broken the same way every time.  Edges are ordered
 strictly by (length, i, j) with i < j.  Under a strict total order the MST
 is unique, so any correct MST algorithm returns the same edges; this module
 uses dense O(N^2) Prim, which needs no edge sort.  Prim keeps only a key per
-point outside the tree, the length of its least edge to the tree, and each
-step lowers the keys with the joining point's row, lifted to +inf at tree
-points and left as it is elsewhere, in two unmasked ufuncs; no parent array
-is kept.  For a fixed point t, equal-length edges order by the other
-endpoint, so t's edge goes to the smallest-index tree point at distance
-key[t].  Among outside points with the least key, Prim
+point, the length of its least edge to the tree, with NaN at tree points:
+minimum keeps a NaN, so each step lowers the keys with the joining point's
+row in one unmasked ufunc, and no parent array is kept.  The next point is
+the argmin of the keys' int64 view, in which nonnegative doubles keep their
+float order and the positive quiet NaN sorts above all of them, so a tree
+point is never chosen; -0.0 sorts first.  For a fixed point t, equal-length
+edges order by the other endpoint, so t's edge goes to the smallest-index
+tree point at distance key[t].  Among outside points with the least key, Prim
 adds the one whose edge (min(p, t), max(p, t)) is smallest.  Such ties are
-rare, so each step probes for one before searching: it sets the chosen
-point's key to +inf and looks again at the minimum; only when that still
-equals the key does it find the tied points' endpoints and compare their
-edges.  After the loop one N x N equality test against the bar lengths
-recovers every endpoint the same way, as the smallest-index point that
-joined earlier at exactly the bar length, which needs an exactly symmetric
-matrix.  The N - 1 edges are then sorted by (length, i, j), the order in
-which Kruskal accepts them.
+rare, so each step probes for one before searching: it marks the chosen
+point's key NaN and looks again at the minimum; only when that still equals
+the key (a float test, so -0.0 ties +0.0) does it find the tied points'
+endpoints and compare their edges.  After the loop one N x N equality test
+against the keys recovers every endpoint the same way, as the smallest-index
+point that joined earlier at exactly that length.  Each tree edge must then
+hold its key in both directions of the matrix, else the matrix is rejected
+as not symmetric, and its bar length is the entry d[a, b], a < b, bit for
+bit.  The N - 1 edges are then sorted by (length, i, j), the order in which
+Kruskal accepts them.
 
 A ``Barcode`` stores the bars as three parallel arrays in that order: the
 lengths, and the endpoints ``a`` and ``b`` of each edge with a < b.  Callers
@@ -94,10 +98,12 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
 
     Builds the MST under the strict (length, i, j) edge order with dense
     Prim and returns its edges sorted by that order; the edge lengths are the
-    bar lengths.  Requires N >= 2 and finite entries, and, unchecked, an
-    exactly symmetric ``d`` as ``pairwise_distances`` returns: tree endpoints
-    are found by exact equality of ``d[t]`` with t's key.  ``d`` is not
-    modified.
+    bar lengths, each equal to its entry ``d[a, b]`` bit for bit.  Requires
+    N >= 2 and nonnegative finite entries (-0.0 is allowed), as
+    ``pairwise_distances`` returns them: argmin on the keys' int64 view
+    orders only nonnegative doubles as floats.  Symmetry is checked on the
+    tree edges only: each must equal the length it joined at in both
+    directions, or ``ValueError`` is raised.  ``d`` is not modified.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -105,51 +111,46 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     n = d.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points for a non-empty barcode")
-    # min and max propagate NaN, so this catches NaN and +-inf without an
-    # N x N mask
-    if not (np.isfinite(d.min()) and np.isfinite(d.max())):
-        raise ValueError("distance matrix has non-finite entries")
+    # min and max propagate NaN, so this catches NaN, +-inf and negative
+    # entries without an N x N mask
+    if not (d.min() >= 0.0 and np.isfinite(d.max())):
+        raise ValueError("distance matrix has negative or non-finite entries")
 
     # key[t]: length of the least edge from the tree to outside point t;
-    # points in the tree hold key +inf.  lift is +inf at tree points and
-    # -inf outside, so maximum(d[t], lift) keeps every outside entry as it
-    # is, -0.0 included (adding a 0/+inf penalty would make it +0.0), and
-    # an unmasked minimum with it leaves tree keys at +inf.  The loop
-    # records each joining point and its key; the tree endpoints are
-    # recovered after it.
+    # tree points hold NaN, which minimum keeps, so one unmasked minimum per
+    # join lowers only the outside keys and passes d[t]'s -0.0 through.
+    # argmin on the int64 view never picks a NaN key (module docstring).
+    # The loop records each joining point and its key; the tree endpoints
+    # are recovered after it.
     key = d[0].copy()
-    key[0] = np.inf
-    lift = np.full(n, -np.inf)
-    lift[0] = np.inf
-    row = np.empty(n)
+    key[0] = np.nan
+    bits = key.view(np.int64)
     tails = []
-    lengths = []
+    keys = []
     # argmin stands in for min(): at small N most of a ufunc reduction's
     # time is its set-up
     for _ in range(n - 1):
-        t = key.argmin()
+        t = bits.argmin()
         length = key[t]
-        key[t] = np.inf
-        if key[key.argmin()] == length:
+        key[t] = np.nan
+        if key[bits.argmin()] == length:
             # another outside point ties: take the smallest (min, max) edge,
             # each candidate's endpoint being its smallest tree point at length
             key[t] = length
             ties = (key == length).nonzero()[0]
-            p = ((d[ties] == length) & (lift > 0)).argmax(axis=1)
+            p = ((d[ties] == length) & np.isnan(key)).argmax(axis=1)
             t = ties[(np.minimum(p, ties) * n + np.maximum(p, ties)).argmin()]
-            key[t] = np.inf
+            key[t] = np.nan
         tails.append(t)
-        lengths.append(length)
-        lift[t] = np.inf
-        np.maximum(d[t], lift, out=row)
-        np.minimum(key, row, out=key)
+        keys.append(length)
+        np.minimum(key, d[t], out=key)
 
     tails = np.array(tails, dtype=np.intp)
-    lengths = np.array(lengths)
+    keys = np.array(keys)
     # Row t hits its head at t's bar length, the root's -1 hits nothing: N - 1
     # hits are the heads; else the first hit among earlier joins is t's head.
     bar_len = np.full(n, -1.0)
-    bar_len[tails] = lengths
+    bar_len[tails] = keys
     hit = d == bar_len[:, None]
     if np.count_nonzero(hit) != n - 1:
         rank = np.zeros(n, dtype=np.intp)  # join order; the root is 0
@@ -158,5 +159,10 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     heads = hit.argmax(axis=1)[tails]
     a = np.minimum(heads, tails)
     b = np.maximum(heads, tails)
+    # Each tree edge must hold its key in both directions; a bar is then its
+    # entry d[a, b] bit for bit, whichever signed zero its key came from.
+    lengths = d[a, b]
+    if not ((lengths == keys) & (d[b, a] == keys)).all():
+        raise ValueError("distance matrix is not symmetric")
     order = np.lexsort((b, a, lengths))  # last key is primary
     return Barcode(lengths[order], a[order], b[order])

@@ -26,11 +26,11 @@ def loss_value(points: np.ndarray, mode: SelectionMode) -> float:
 def discrete_structure(points: np.ndarray, mode: SelectionMode):
     """Frozen combinatorics: the MST edge set, plus the active bar set."""
     barcode = vr_barcode_0d(pairwise_distances(points))
-    edges = tuple(sorted((b.endpoint_a, b.endpoint_b) for b in barcode.bars))
+    edges = tuple(sorted(zip(barcode.a.tolist(), barcode.b.tolist())))
     if mode is SelectionMode.SELECTED_BARS:
         active = tuple(select_features(barcode.lengths()).selected)
     else:
-        active = tuple(range(len(barcode.bars)))
+        active = tuple(range(barcode.lengths().size))
     return edges, active
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -14,13 +15,12 @@ from oracles import all_spanning_trees, kruskal_bars, prim_mst_weight, single_li
 class TestBarcode:
     def test_two_points(self):
         bc = vr_barcode_0d(np.array([[0.0, 7.0], [7.0, 0.0]]))
-        assert len(bc.bars) == 1
-        assert bc.bars[0].length == 7.0
+        assert bar_triples(bc) == [(7.0, 0, 1)]
 
     def test_four_collinear_points(self):
         x = np.array([[0.0], [1.0], [3.0], [7.0]])
         bc = vr_barcode_0d(pairwise_distances(x))
-        assert sorted(b.length for b in bc.bars) == [1.0, 2.0, 4.0]
+        assert sorted(bc.lengths().tolist()) == [1.0, 2.0, 4.0]
 
     def test_collinear_mst_is_global_minimum_over_all_trees(self):
         # brute force: all 16 labeled trees on 4 vertices
@@ -28,7 +28,7 @@ class TestBarcode:
         weights = [sum(d[i, j] for i, j in tree) for tree in all_spanning_trees(4)]
         assert len(weights) == 16
         bc = vr_barcode_0d(d)
-        assert sum(b.length for b in bc.bars) == pytest.approx(min(weights), abs=1e-12)
+        assert bc.lengths().sum() == pytest.approx(min(weights), abs=1e-12)
 
     def test_matches_single_linkage_oracle(self):
         rng = np.random.default_rng(0)
@@ -44,7 +44,7 @@ class TestBarcode:
     def test_cardinality_is_n_minus_one(self, n):
         rng = np.random.default_rng(n)
         bc = vr_barcode_0d(pairwise_distances(rng.normal(size=(n, 3))))
-        assert len(bc.bars) == n - 1
+        assert bc.lengths().size == bc.a.size == bc.b.size == n - 1
         assert bc.n_points == n
 
     def test_total_length_matches_prim_oracle(self):
@@ -52,7 +52,7 @@ class TestBarcode:
         for _ in range(20):
             x = rng.normal(size=(int(rng.integers(2, 15)), 2))
             d = pairwise_distances(x)
-            total = sum(b.length for b in vr_barcode_0d(d).bars)
+            total = vr_barcode_0d(d).lengths().sum()
             assert total == pytest.approx(prim_mst_weight(d), abs=1e-12)
 
     def test_duplicate_point_adds_one_zero_bar(self):
@@ -76,31 +76,30 @@ class TestBarcode:
     def test_bar_length_equals_matrix_entry_exactly(self):
         rng = np.random.default_rng(4)
         d = pairwise_distances(rng.normal(size=(9, 4)))
-        for bar in vr_barcode_0d(d).bars:
-            assert bar.length == d[bar.endpoint_a, bar.endpoint_b]
-            assert bar.endpoint_a != bar.endpoint_b
+        bc = vr_barcode_0d(d)
+        assert bc.lengths().tobytes() == d[bc.a, bc.b].tobytes()
+        assert (bc.a < bc.b).all()
 
     def test_edges_form_spanning_tree(self):
         rng = np.random.default_rng(5)
         bc = vr_barcode_0d(pairwise_distances(rng.normal(size=(12, 2))))
         neighbors = {i: set() for i in range(12)}
-        for bar in bc.bars:
-            neighbors[bar.endpoint_a].add(bar.endpoint_b)
-            neighbors[bar.endpoint_b].add(bar.endpoint_a)
+        for i, j in zip(bc.a.tolist(), bc.b.tolist()):
+            neighbors[i].add(j)
+            neighbors[j].add(i)
         reached, frontier = {0}, [0]
         while frontier:
             for w in neighbors[frontier.pop()] - reached:
                 reached.add(w)
                 frontier.append(w)
         assert len(reached) == 12  # connected
-        assert len(bc.bars) == 11  # connected with N - 1 edges: acyclic
+        assert bc.lengths().size == 11  # connected with N - 1 edges: acyclic
 
     def test_deterministic_tie_break(self):
         # unit square: four exactly-tied unit edges; lexicographic order wins
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         bc = vr_barcode_0d(pairwise_distances(square))
-        assert [(b.endpoint_a, b.endpoint_b) for b in bc.bars] == [(0, 1), (0, 2), (1, 3)]
-        assert all(b.length == 1.0 for b in bc.bars)
+        assert bar_triples(bc) == [(1.0, 0, 1), (1.0, 0, 2), (1.0, 1, 3)]
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -125,6 +124,22 @@ class TestBarcode:
         with pytest.raises(ValueError, match="non-finite"):
             vr_barcode_0d(d)
 
+    @pytest.mark.parametrize("where", [(0, 2), (1, 1)], ids=["off_diagonal", "diagonal"])
+    def test_negative_distances_rejected(self, where):
+        # the Prim loop orders keys on their int64 view, which holds the
+        # float order only for nonnegative doubles
+        d = pairwise_distances(np.array([[0.0], [1.0], [3.0]]))
+        d[where] = d[where[::-1]] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            vr_barcode_0d(d)
+
+    def test_all_negative_zero_off_diagonal_is_accepted(self):
+        d = np.full((4, 4), -0.0)
+        np.fill_diagonal(d, 0.0)
+        bc = vr_barcode_0d(d)
+        assert bar_triples(bc) == [(0.0, 0, 1), (0.0, 0, 2), (0.0, 0, 3)]
+        assert np.signbit(bc.lengths()).all()
+
     def test_barcode_validates_bar_count(self):
         with pytest.raises(ValueError):
             Barcode([1.0, 2.0], [0, 1], [1])
@@ -146,8 +161,8 @@ class TestBarcode:
         x = rng.normal(scale=rng.uniform(0.5, 5.0), size=(n, int(rng.integers(1, 5))))
         d = pairwise_distances(x)
         bc = vr_barcode_0d(d)
-        assert len(bc.bars) == n - 1
-        assert sum(b.length for b in bc.bars) == pytest.approx(prim_mst_weight(d), abs=1e-12)
+        assert bc.lengths().size == n - 1
+        assert bc.lengths().sum() == pytest.approx(prim_mst_weight(d), abs=1e-12)
 
 
 def tie_heavy_cloud(rng, n) -> np.ndarray:
@@ -165,7 +180,7 @@ def tie_heavy_cloud(rng, n) -> np.ndarray:
 
 
 def bar_triples(barcode) -> list[tuple[float, int, int]]:
-    return [(b.length, b.endpoint_a, b.endpoint_b) for b in barcode.bars]
+    return list(zip(barcode.lengths().tolist(), barcode.a.tolist(), barcode.b.tolist()))
 
 
 class TestTieRules:
@@ -226,12 +241,45 @@ class TestTieRules:
         assert bar_triples(vr_barcode_0d(d)) == want
 
     def test_negative_zero_distance_keeps_its_sign(self):
-        # the key update must pass d[t]'s entries through unchanged: a bar
-        # equals its matrix entry bit for bit, so -0.0 stays -0.0
+        # a bar is its entry d[a, b] bit for bit, so -0.0 stays -0.0: the
+        # key update passes d[t]'s -0.0 through, and argmin on the keys'
+        # int64 view takes a -0.0 key first
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, -0.0], [2.0, -0.0, 0.0]])
         barcode = vr_barcode_0d(d)
         assert np.signbit(barcode.lengths()).tolist() == [True, False]
         assert bar_triples(barcode) == [(0.0, 1, 2), (1.0, 0, 1)]
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            # the key 1 comes from row 0; row 1 holds 2 back
+            [[0.0, 1.0], [2.0, 0.0]],
+            # point 2 joins at d[1, 2] = 1, which row 2 holds at no point
+            [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 2.0, 0.0]],
+        ],
+        ids=["two_points", "tail_row_misses_its_key"],
+    )
+    def test_asymmetric_tree_edge_rejected(self, d):
+        with pytest.raises(ValueError, match="not symmetric"):
+            vr_barcode_0d(np.array(d))
+
+    def test_asymmetric_integer_matrices_raise_or_hold_every_edge_both_ways(self):
+        # an accepted asymmetric matrix still gives bars that its entries
+        # hold in both directions: no edge has a length the matrix lacks
+        rng = np.random.default_rng(2)
+        raised = 0
+        for _ in range(500):
+            n = int(rng.integers(3, 9))
+            d = rng.integers(0, 5, size=(n, n)).astype(np.float64)
+            np.fill_diagonal(d, 0.0)
+            try:
+                bc = vr_barcode_0d(d)
+            except ValueError as exc:
+                assert "not symmetric" in str(exc)
+                raised += 1
+                continue
+            assert bc.lengths().tobytes() == d[bc.a, bc.b].tobytes() == d[bc.b, bc.a].tobytes()
+        assert raised > 400
 
     def test_input_matrix_is_left_untouched(self):
         rng = np.random.default_rng(11)
@@ -244,6 +292,38 @@ class TestTieRules:
 
 class TestKruskalOracle:
     """Bars, endpoints and order equal Kruskal's under the (length, i, j) order."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("flip_lower", [False, True], ids=["mirrored", "lower_zero_signs_flipped"])
+    def test_every_small_matrix_over_signed_zeros_and_two_lengths(self, n, flip_lower):
+        # each bar is its upper-triangle entry bit for bit, whichever signed
+        # zero its key came from; a lower triangle whose zeros have the other
+        # sign is still symmetric under float ==
+        iu = np.triu_indices(n, 1)
+        for entries in itertools.product([0.0, -0.0, 1.0, 2.0], repeat=iu[0].size):
+            d = np.zeros((n, n))
+            d[iu] = entries
+            d[iu[::-1]] = entries
+            if flip_lower:
+                lower = d[iu[::-1]]
+                d[iu[::-1]] = np.where(lower == 0.0, -lower, lower)
+            bc = vr_barcode_0d(d)
+            assert bar_triples(bc) == kruskal_bars(d)
+            assert bc.lengths().tobytes() == d[bc.a, bc.b].tobytes()
+
+    @given(data=st.data(), n=st.integers(2, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_entries_from_subnormal_to_near_max(self, data, n):
+        # a small pool of values, so that many entries tie
+        value = st.floats(min_value=5e-324, max_value=1.7e308) | st.sampled_from([0.0, -0.0])
+        pool = data.draw(st.lists(value, min_size=1, max_size=6))
+        iu = np.triu_indices(n, 1)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=iu[0].size, max_size=iu[0].size))
+        d = np.zeros((n, n))
+        d[iu] = d[iu[::-1]] = np.array(pool)[picks]
+        bc = vr_barcode_0d(d)
+        assert bar_triples(bc) == kruskal_bars(d)
+        assert bc.lengths().tobytes() == d[bc.a, bc.b].tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
     @settings(max_examples=300, deadline=None)

@@ -63,10 +63,10 @@ class TestEntropyLossValueAndGrad:
         cloud = np.array([[0.0, 0.0], [0.4, 0.0], [30.0, 0.0], [30.0, 0.3], [30.3, 0.0]])
         res = entropy_loss_grad(cloud, SelectionMode.SELECTED_BARS)
         _, active = discrete_structure(cloud, SelectionMode.SELECTED_BARS)
-        bars = vr_barcode_0d(pairwise_distances(cloud)).bars
+        barcode = vr_barcode_0d(pairwise_distances(cloud))
         touched = set()
         for idx in active:
-            touched |= {bars[idx].endpoint_a, bars[idx].endpoint_b}
+            touched |= {int(barcode.a[idx]), int(barcode.b[idx])}
         untouched = set(range(5)) - touched
         assert untouched, "test cloud should leave some point untouched"
         for i in untouched:
@@ -95,8 +95,8 @@ class TestScatterMatchesPerBarLoop:
         active = range(barcode.lengths().size)
         if mode is SelectionMode.SELECTED_BARS:
             active = select_features(barcode.lengths()).selected
-        all_bars = barcode.bars
-        bars = [(all_bars[i].length, all_bars[i].endpoint_a, all_bars[i].endpoint_b) for i in active]
+        lengths, a, b = barcode.lengths().tolist(), barcode.a.tolist(), barcode.b.tolist()
+        bars = [(lengths[i], a[i], b[i]) for i in active]
 
         res = entropy_loss_grad(x, mode)
         if res.degenerate:
