@@ -64,12 +64,8 @@ def _barcode(path) -> Barcode:
     loaded = load_cloud_csv(path)
     if loaded.points.shape[0] < 2:
         raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
-    # distances of coordinates near the float64 limit overflow to inf, which
-    # vr_barcode_0d rejects; numpy's overflow warning would only repeat that
-    with np.errstate(over="ignore"):
-        d = pairwise_distances(loaded.points)
-    try:
-        return vr_barcode_0d(d)
+    try:  # distances beyond float64's range come out inf, which raises here
+        return vr_barcode_0d(pairwise_distances(loaded.points))
     except ValueError as exc:
         raise _CommandError(EXIT_PARSE, f"{path}: pairwise distances overflow float64 ({exc})") from None
 

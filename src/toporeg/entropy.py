@@ -26,11 +26,13 @@ from itertools import accumulate
 
 import numpy as np
 
+from .geometry import _range_exponent
+
 
 def _bar_lengths(lengths) -> tuple[np.ndarray, int, int]:
-    """Bar lengths as a float64 array, with the indices of the longest and
-    the shortest bar; raises ValueError unless the lengths are a nonempty
-    1-D sequence of finite nonnegative values."""
+    """Bar lengths as float64, scaled by the range rule's 2**-e for the longest
+    bar, and the longest and shortest bar's indices; raises ValueError unless
+    the lengths are a nonempty 1-D sequence of finite nonnegative values."""
     l = np.asarray(lengths, dtype=np.float64)
     if l.ndim != 1 or l.size == 0:
         raise ValueError(f"lengths must be a nonempty 1-D sequence, got shape {l.shape}")
@@ -39,21 +41,17 @@ def _bar_lengths(lengths) -> tuple[np.ndarray, int, int]:
     # nonnegative shortest one pass every bar without a full scan
     if not (math.isfinite(l[t_idx]) and l[r_idx] >= 0.0):
         raise ValueError("lengths must be finite and nonnegative")
-    return l, t_idx, r_idx
+    exponent = _range_exponent(float(l[t_idx]))
+    return (np.ldexp(l, -exponent) if exponent else l), t_idx, r_idx
 
 
 def persistent_entropy(lengths) -> float:
     """Shannon entropy (natural log) of the normalized bar lengths.
 
     Zero-length bars contribute nothing; the total length must be positive.
-    Bars so long that their total could overflow float64 are rescaled by the
-    longest bar first, which leaves the normalized lengths unchanged up to
-    rounding.
+    Scaling every bar by a power of two leaves the value's bits unchanged.
     """
-    l, t_idx, _ = _bar_lengths(lengths)
-    longest = float(l[t_idx])
-    if not math.isfinite(2.0 * l.size * longest):  # the total is at most n * longest
-        l = l / longest
+    l, _, _ = _bar_lengths(lengths)
     total = float(l.sum())
     if total <= 0.0:
         raise ValueError("degenerate barcode: total bar length is zero")
@@ -157,9 +155,8 @@ def select_features(lengths) -> SelectionResult:
 
     The longest bar is always a feature; the shortest is noise whenever the
     lengths are not all equal.  All-equal barcodes (alpha = 1) are
-    maximum-entropy already and are returned fully selected.  Bars so long
-    that the scan's sums could overflow float64 are scanned scaled by the
-    longest bar, which selects as the unscaled bars do up to rounding.
+    maximum-entropy already and are returned fully selected.  Scaling every
+    bar by a power of two leaves the result's bits unchanged.
     """
     lengths, t_idx, r_idx = _bar_lengths(lengths)
     n = lengths.size
@@ -174,14 +171,8 @@ def select_features(lengths) -> SelectionResult:
     order = np.argsort(-lengths, kind="stable")  # longest first, equal lengths by index
     rest = order[(order != t_idx) & (order != r_idx)]
 
-    middle = lengths[rest]
-    if not math.isfinite(2.0 * n * t_len):
-        # every sum the scan forms (tail totals, the H sums, neutralized
-        # totals) is at most n * T in size: scaling by T keeps them finite
-        # and the ratios it tests unchanged up to rounding
-        middle, r_len, t_len = middle / t_len, r_len / t_len, 1.0
     trace: list[tuple[int, int, float]] = []
-    kept = _scan(middle.tolist(), r_len, t_len, alpha, trace)
+    kept = _scan(lengths[rest].tolist(), r_len, t_len, alpha, trace)
 
     is_feature = np.zeros(n, dtype=bool)
     is_feature[t_idx] = True

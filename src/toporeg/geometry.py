@@ -19,15 +19,17 @@ directly, in blocks of rows whose differences come from a row-repeated copy
 minus the contiguous columns, so numpy subtracts in long inner loops.  Each
 strip is then mirrored below itself in one transposed copy; the mirror is
 exact, so the matrix is exactly symmetric.  A cloud far from unit scale is
-filled rescaled by a power of two and the matrix scaled back, so its
-squared differences neither underflow nor overflow.
+filled rescaled by an exact power of two (the range rule, which ``entropy``
+and ``regularizer`` share) and the matrix scaled back, so its squared
+differences neither underflow nor overflow.
 
 Singular values are computed from the Gram matrices of the smaller side,
 raw and centered, with LAPACK's symmetric eigensolver
 (``numpy.linalg.eigvalsh``), which returns the values without forming
 singular vectors.  Both eigenproblems, of size min(N, D), go to one stacked
-call, on the matrix rescaled by a power of two: exact, so the scores keep
-their bits, and the Gram matrices cannot overflow.
+call, on the matrix always rescaled to max|m| in [0.5, 1), not by the range
+rule: ``eigvalsh`` is not bitwise scale-equivariant, so scores would move
+with the scale inside the range.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ PAIRS_PER_SLICE = 8192
 # took 21 ms in 4-row strips, 6.4 in 32, 4.6 in 64, 5.0 in 128 and 11 in 256
 # (timeit, one core); a strip also computes both halves of its own square
 _STRIP_ROWS = 64
-# pairwise_distances fills a cloud as it is when max|x| < 2**e with |e| at
-# most this (a quarter of float64's exponent range): its squared differences
+# the range rule leaves values as they are when max|x| < 2**e with |e| at
+# most this (a quarter of float64's exponent range): squared differences
 # stay below 2**514, finite for any D below 2**500, and a difference of at
-# least 2**-254 times max|x| squares to a normal number.  Other clouds are
-# filled at max|x| in [0.5, 1) and the matrix is scaled back
+# least 2**-254 times max|x| squares to a normal number.  Other values are
+# rescaled to max|x| in [0.5, 1)
 _DIRECT_EXPONENT = np.finfo(np.float64).maxexp // 4
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -68,9 +70,16 @@ class AnisotropyProfile:
         return float(self.scores[k - 1])
 
 
-def _points(x) -> tuple[np.ndarray, float]:
-    """``x`` as an N x D float64 array, and max|x|; raises ValueError unless
-    N >= 1, D >= 1 and every entry is finite."""
+def _range_exponent(peak: float) -> int:
+    """The range rule: e with peak = f * 2**e, f in [0.5, 1), if |e| > _DIRECT_EXPONENT, else 0."""
+    exponent = math.frexp(peak)[1]
+    return exponent if abs(exponent) > _DIRECT_EXPONENT else 0
+
+
+def _points(x) -> tuple[np.ndarray, int]:
+    """``x`` as an N x D float64 array, and the range rule's exponent for
+    max|x|; raises ValueError unless N >= 1, D >= 1 and every entry is
+    finite."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"point cloud must be 2-D, got shape {x.shape}")
@@ -79,7 +88,7 @@ def _points(x) -> tuple[np.ndarray, float]:
     peak = float(np.maximum.reduce(np.abs(x), axis=None))  # NaN if any entry is
     if not math.isfinite(peak):
         raise ValueError("point cloud contains NaN or Inf entries")
-    return x, peak
+    return x, _range_exponent(peak)
 
 
 def pairwise_distances(x) -> np.ndarray:
@@ -99,16 +108,13 @@ def pairwise_distances(x) -> np.ndarray:
     deterministic.
 
     A cloud whose max|x| is 2**256 or more, or nonzero and below 2**-257,
-    is filled on x * 2**-e, where max|x| = f * 2**e with f in [0.5, 1), and
-    the matrix is scaled back by 2**e: both scalings are exact away from
-    subnormals, so bar lengths scale exactly with the cloud.  Distances
-    beyond float64's range come out as inf.
+    is filled on x * 2**-e (the range rule) and the matrix is scaled back by
+    2**e: both scalings are exact away from subnormals, so bar lengths scale
+    exactly with the cloud.  Distances beyond float64's range come out as
+    inf, without a warning.
     """
-    x, peak = _points(x)
-    exponent = math.frexp(peak)[1]
-    if abs(exponent) <= _DIRECT_EXPONENT:
-        exponent = 0
-    else:
+    x, exponent = _points(x)
+    if exponent:
         x = np.ldexp(x, -exponent)
     n, dim = x.shape
     d = np.empty((n, n), dtype=np.float64)
@@ -126,7 +132,8 @@ def pairwise_distances(x) -> np.ndarray:
             np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo:hi, s0:])
         d[s1:, s0:s1] = d[s0:s1, s1:].T
     if exponent:
-        np.ldexp(d, exponent, out=d)
+        with np.errstate(over="ignore"):  # documented: inf past float64's range
+            np.ldexp(d, exponent, out=d)
     return d
 
 

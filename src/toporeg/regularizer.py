@@ -15,7 +15,9 @@ With S the total length of the active bars:
 
 where (a, b) are the MST endpoints of bar j.  Zero-length bars (duplicate
 points) are skipped: they add nothing to the value, and their direction is
-0/0.  Nothing is clamped, so scaling the cloud by c scales the gradient by 1/c.
+0/0.  Nothing is clamped, so scaling the cloud by c scales the gradient by 1/c
+at every scale: a cloud far from unit scale runs scaled by the range rule's
+2**-e (``geometry._range_exponent``), and its gradient is scaled back.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> Entrop
     gradient; raises ValueError on fewer than 2 points, a cloud that is not
     2-D and finite, or a mode that is not a SelectionMode."""
     _check_mode(mode)
-    x = np.asarray(x, dtype=np.float64)
+    x, exponent = _points(x)
+    if exponent:
+        x = np.ldexp(x, -exponent)
     barcode = vr_barcode_0d(pairwise_distances(x))
     lengths, a, b = barcode.lengths(), barcode.a, barcode.b
     if mode is SelectionMode.SELECTED_BARS:
@@ -95,6 +99,8 @@ def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> Entrop
     signed[0::2] = step
     np.negative(step, out=signed[1::2])
     np.add.at(grad, ends, signed)
+    if exponent:
+        np.ldexp(grad, -exponent, out=grad)
     return EntropyLossGrad(value=float(value), grad=grad, degenerate=False)
 
 

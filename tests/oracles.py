@@ -335,21 +335,23 @@ def scan_select_features(lengths):
     is the rounded alpha*n*(alpha - 1 - log(alpha)) / (alpha - 1)**2, or 0
     at alpha = 0.  It reads the bars the way ``select_features`` does (the
     longest first, equal lengths by index; one longest and one shortest bar
-    set aside; scaled by T when n * T could overflow), so the trace must
-    agree bit for bit.  A ratio to T that underflows to 0 makes a log fail.
+    set aside; scaled by 2**-e when T = f * 2**e with f in [0.5, 1) and
+    |e| > 256), so the trace must agree bit for bit.  A ratio to T that
+    underflows to 0 makes a log fail.
     """
     lengths = [float(l) for l in lengths]
     n = len(lengths)
     t_idx = max(range(n), key=lengths.__getitem__)
     r_idx = min(range(n), key=lengths.__getitem__)
+    exponent = math.frexp(lengths[t_idx])[1]
+    if abs(exponent) > 256:
+        lengths = [math.ldexp(l, -exponent) for l in lengths]
     t_len, r_len = lengths[t_idx], lengths[r_idx]
     if r_len == t_len:
         return list(range(n)), [], 1.0, []
     alpha = r_len / t_len
     rest = [i for i in sorted(range(n), key=lambda i: -lengths[i]) if i not in (t_idx, r_idx)]
     middle = [lengths[i] for i in rest]
-    if not math.isfinite(2.0 * n * t_len):
-        middle, r_len, t_len = [l / t_len for l in middle], r_len / t_len, 1.0
 
     trace = []
     m = len(middle)

@@ -276,3 +276,20 @@ class TestSelectFeaturesNearOverflow:
     def test_random_barcodes(self, seed):
         lengths = random_barcode(np.random.default_rng(seed))
         assert_same_selection(lengths / lengths.max() * (sys.float_info.max / 3), lengths)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_of_two_scale_keeps_every_bit(seed):
+    # bars on a 1/64 grid below 16 stay normal and finite at every 2**k here:
+    # the shortest positive one is 2**-1006 at k = -1000, the longest below
+    # 2**1022 at k = 1018
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 1024, size=int(rng.integers(2, 40))) / 64
+    lengths[0] = 1023 / 64
+    entropy, base = persistent_entropy(lengths), select_features(lengths)
+    for k in range(-1000, 1019):
+        scaled = np.ldexp(lengths, k)
+        assert persistent_entropy(scaled) == entropy
+        res = select_features(scaled)
+        assert (res.selected, res.noise, res.alpha) == (base.selected, base.noise, base.alpha)
+        assert res.q_trace == base.q_trace

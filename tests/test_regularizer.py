@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -125,20 +127,35 @@ class TestInvariances:
         np.testing.assert_allclose(b.grad, a.grad / c, atol=1e-9)
 
     @pytest.mark.parametrize("mode", MODES)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-400, 400))
-    @example(seed=0, k=-400)
-    @example(seed=0, k=400)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1021))
+    @example(seed=0, k=-1000)
+    @example(seed=0, k=1010)
+    @example(seed=0, k=1021)
     @settings(max_examples=60, deadline=None)
     def test_power_of_two_scale_keeps_the_value_and_scales_the_gradient(self, mode, seed, k):
+        # a 1/64-grid cloud below 4 stays normal and finite at every 2**k
+        # here, though its distances overflow float64 from about k = 1019 on.
         # 2**k scales every bar exactly, so the value keeps its bits; the
         # gradient scales by 2**-k up to the rounding of log(2**k * l)
         rng = np.random.default_rng(seed)
-        cloud = rng.normal(size=(int(rng.integers(3, 33)), int(rng.integers(1, 9))))
-        base = entropy_loss_grad(cloud, mode)
-        scaled = entropy_loss_grad(np.ldexp(cloud, k), mode)
-        assert scaled.value == base.value
-        tol = max(1e-9 * float(np.abs(base.grad).max()), 1e-12)
-        assert np.abs(np.ldexp(scaled.grad, k) - base.grad).max() <= tol
+        n = int(rng.integers(3, 33))
+        cloud = rng.integers(-255, 256, size=(n, int(rng.integers(1, 9)))) / 64
+        labels = rng.integers(0, 3, size=n)
+        for loss in (lambda x: entropy_loss_grad(x, mode), lambda x: per_class_entropy_loss(x, labels, mode)):
+            base, scaled = loss(cloud), loss(np.ldexp(cloud, k))
+            assert scaled.value == base.value
+            unscaled = np.ldexp(scaled.grad, k)
+            assert np.isfinite(unscaled).all()
+            tol = max(1e-9 * float(np.abs(base.grad).max()), 1e-12)
+            assert np.abs(unscaled - base.grad).max() <= tol
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cloud_whose_distances_overflow_has_a_value_and_gradient(self, mode):
+        # the first two points are 2e308 apart; the cloud runs at 2**-1024
+        cloud = [[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]]
+        for res in (entropy_loss_grad(cloud, mode), per_class_entropy_loss(cloud, [0, 0, 0], mode)):
+            assert res.value == pytest.approx(math.log(2), abs=1e-15)
+            assert np.isfinite(res.grad).all()
 
     @pytest.mark.parametrize("scale", [1e-170, 1e154, 1e300])
     def test_clouds_far_from_unit_scale_keep_the_value(self, scale):
