@@ -26,10 +26,15 @@ differences neither underflow nor overflow.
 Singular values are computed from the Gram matrices of the smaller side,
 raw and centered, with LAPACK's symmetric eigensolver
 (``numpy.linalg.eigvalsh``), which returns the values without forming
-singular vectors.  Both eigenproblems, of size min(N, D), go to one stacked
-call, on the matrix always rescaled to max|m| in [0.5, 1), not by the range
-rule: ``eigvalsh`` is not bitwise scale-equivariant, so scores would move
-with the scale inside the range.
+singular vectors.  One private core scores a whole S x N x D stack: it
+rescales each matrix, forms its two Gram matrices, solves all 2S
+eigenproblems of size min(N, D) in one stacked call and applies the clamp
+and the rank rule, so each matrix gets bitwise the scores it gets alone.
+``anisotropy_profile`` runs it on a stack of one; the training harness
+runs it on a chunk of steps' representations.  Each matrix is always
+rescaled to max|m| in [0.5, 1), not by the range rule: ``eigvalsh`` is
+not bitwise scale-equivariant, so scores would move with the scale inside
+the range.
 """
 
 from __future__ import annotations
@@ -137,6 +142,48 @@ def pairwise_distances(x) -> np.ndarray:
     return d
 
 
+def _anisotropy_scores(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores over the full spectrum of every matrix of an S x N x D stack,
+    ``scores[s, 0]`` raw and ``scores[s, 1]`` centered, and ``totals[s, v]``,
+    the sum of squares they divide.  A total of 0 marks a variant with no
+    singular value above rounding noise and NaN a matrix with a NaN or Inf
+    entry; their scores are all 0.  Each matrix's scores are bitwise those
+    it gets alone, as a stack of one."""
+    n, dim = m.shape[1:]
+    # max|m| = peak * 2**exponent, peak NaN or inf where an entry is
+    peak, exponent = np.frexp(np.maximum.reduce(np.abs(m), axis=(1, 2)))
+    finite = np.isfinite(peak)
+    if not finite.all():  # solved as all zeros, so the eigensolver sees no NaN
+        m = np.where(finite[:, None, None], m, 0.0)
+    # the raw then the centered matrix of each, rescaled to max|m| in [0.5, 1);
+    # np.add.reduce / N is the computation ndarray.mean runs, minus its wrapper
+    work = np.empty((m.shape[0], 2, n, dim))
+    raw = np.ldexp(m, -exponent[:, None, None], out=work[:, 0])
+    np.subtract(raw, np.add.reduce(raw, axis=1, keepdims=True) / n, out=work[:, 1])
+    # singular values from the Gram matrices of the smaller side; they are
+    # PSD up to round-off, so eigenvalues are clamped at zero before the
+    # square root
+    other = work.swapaxes(-1, -2)
+    gram = np.matmul(work, other) if n < dim else np.matmul(other, work)
+    # eigvalsh returns ascending eigenvalues, so each row of sigma descends
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[..., ::-1])
+    # rank rule with two noise sources kept apart.  Centering error: as in
+    # np.linalg.matrix_rank, a singular value at or below max(N, D) * eps
+    # times sqrt(N * D) * max|m| (a bound on the Frobenius norm of the
+    # uncentered input) is noise, so identical rows have no centered
+    # spectrum.  Gram rounding: the eigensolver works on the Gram matrix, so
+    # an eigenvalue at or below max(N, D) * eps * sigma_max**2 is noise and
+    # a zero singular value surfaces near sqrt(eps) * sigma_max; identical
+    # rows score exactly [1, 0, ...] raw
+    floor = max(n, dim) * math.sqrt(n * dim) * _EPS * peak
+    noise = np.maximum(floor[:, None], math.sqrt(max(n, dim) * _EPS) * sigma[..., 0])
+    sigma *= sigma > noise[..., None]  # zeroes the noise; sigma is finite and >= 0
+    squares = sigma * sigma
+    totals = np.add.reduce(squares, axis=-1)
+    totals[~finite] = np.nan
+    return squares / np.where(totals > 0.0, totals, 1.0)[..., None], totals
+
+
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
     """Anisotropy scores for k = 1..k_max (default: the full spectrum), raw
     or ``centered``, with the other variant's scores as ``other_scores``.
@@ -157,40 +204,11 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
         k_max = rank_bound
     if not 1 <= k_max <= rank_bound:
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
-    peak = float(np.abs(m).max())  # NaN if any entry is
-    if not math.isfinite(peak):
+    scores, totals = _anisotropy_scores(m[None])
+    totals = totals[0].tolist()
+    if math.isnan(totals[0]):
         raise ValueError("matrix contains NaN or Inf entries")
-    peak, exponent = math.frexp(peak)  # max|m| = peak * 2**exponent
-    if exponent:  # tanh representations mostly have max|m| in [0.5, 1) already
-        m = np.ldexp(m, -exponent)
-    # np.add.reduce / N is the computation ndarray.mean runs, minus its wrapper
-    shifted = m - np.add.reduce(m, axis=0, keepdims=True) / m.shape[0]
-    # singular values from the Gram matrices of the smaller side, raw then
-    # centered; they are PSD up to round-off, so eigenvalues are clamped at
-    # zero before the square root
-    gram = np.empty((2, rank_bound, rank_bound))
-    for work, out in zip((m, shifted), gram):
-        if m.shape[0] < m.shape[1]:
-            np.matmul(work, work.T, out=out)
-        else:
-            np.matmul(work.T, work, out=out)
-    # eigvalsh returns ascending eigenvalues, so each row of sigma descends
-    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)[:, ::-1])
-    # rank rule with two noise sources kept apart.  Centering error: as in
-    # np.linalg.matrix_rank, a singular value at or below max(N, D) * eps
-    # times sqrt(N * D) * max|m| (a bound on the Frobenius norm of the
-    # uncentered input) is noise, so identical rows have no centered
-    # spectrum.  Gram rounding: the eigensolver works on the Gram matrix, so
-    # an eigenvalue at or below max(N, D) * eps * sigma_max**2 is noise and
-    # a zero singular value surfaces near sqrt(eps) * sigma_max; identical
-    # rows score exactly [1, 0, ...] raw
-    floor = max(m.shape) * math.sqrt(m.size) * _EPS * peak
-    gram_noise = math.sqrt(max(m.shape) * _EPS)
-    noise = np.array([[max(floor, gram_noise * s)] for s in sigma[:, 0].tolist()])
-    sigma *= sigma > noise  # zeroes the noise; sigma is finite and >= 0
-    squares = sigma * sigma
-    totals = np.add.reduce(squares, axis=1).tolist()
-    raw_scores, centered_scores = (sq[:k_max] / t if t else None for sq, t in zip(squares, totals))
+    raw_scores, centered_scores = (s[:k_max] if t else None for s, t in zip(scores[0], totals))
     scores, other = (centered_scores, raw_scores) if centered else (raw_scores, centered_scores)
     if scores is None:
         raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")

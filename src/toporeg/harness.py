@@ -4,10 +4,14 @@ A run trains the classifier on synthetic Gaussian blobs (or a labeled CSV)
 under one of three regimes: no regularization, entropy loss on selected
 bars, or entropy loss on all bars.  Every step logs the training-loss
 breakdown, validation accuracy, and the first three anisotropy scores (raw
-and centered, both from one anisotropy_profile call) of the representation
-layer on a fixed held-out batch, so trajectories are directly comparable
-across regimes.  Summaries average each metric over the last 30% of steps
-per seed, then report mean and population standard deviation over seeds.
+and centered) of the representation layer on a fixed held-out batch, so
+trajectories are directly comparable across regimes.  Evaluation waits for
+EVAL_CHUNK steps: their parameters are kept and scored in one stacked
+forward pass and one stacked eigensolve, each record bitwise what an
+evaluation right after its step gives, and a run that ends or diverges
+first scores what it has.  Summaries average each metric over the last
+30% of steps per seed, then report mean and population standard deviation
+over seeds.
 
 All randomness (data, init, batch order) derives from the seed: two runs
 with an identical config and seed produce identical metric streams.
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cloudfile import load_cloud_csv
-from .geometry import anisotropy_profile
+from .geometry import _anisotropy_scores
 from .model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
 from .regularizer import SelectionMode
 
@@ -34,6 +38,8 @@ BLOB_NOISE_RATIO = 0.5
 
 TRAIN_FRACTION = 0.8
 EVAL_BATCH_SIZE = 64
+# steps whose parameters are evaluated together, in one stacked pass
+EVAL_CHUNK = 32
 SUMMARY_TAIL_FRACTION = 0.3
 
 ANISOTROPY_KS = (1, 2, 3)
@@ -223,33 +229,31 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     return loaded.points, labels, perm[:n_train], perm[n_train:]
 
 
-def _evaluate(mlp, val_x, val_y) -> dict:
-    """Accuracy on every validation row and anisotropy on the first
-    EVAL_BATCH_SIZE, raw and centered from one anisotropy_profile call.
+def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
+    """One record per network of a stacked ``mlp``: accuracy on every
+    validation row and the raw and centered anisotropy scores of the first
+    EVAL_BATCH_SIZE representations, all from one forward pass and one
+    stacked eigensolve.
 
     A score is 0.0 past the rank bound, and every score of a variant is 0.0
     where anisotropy_profile finds no singular value above rounding noise
     in it: representations all zero (raw, which raises, and centered), or
-    all equal (centered, which comes back as None)."""
-    logits, reps, _ = forward(mlp, val_x)
-    accuracy = int(np.count_nonzero(logits.argmax(axis=1) == val_y)) / val_y.size
-    reps = reps[:EVAL_BATCH_SIZE]
-    k_max = min(_ANISOTROPY_K_MAX, min(reps.shape))
-    raw = centered = [0.0] * _ANISOTROPY_K_MAX
-    try:
-        profile = anisotropy_profile(reps, k_max=k_max)
-    except ValueError:  # every representation is zero
-        pass
-    else:
-        pad = [0.0] * (_ANISOTROPY_K_MAX - k_max)
-        raw = profile.scores.tolist() + pad
-        if profile.other_scores is not None:
-            centered = profile.other_scores.tolist() + pad
-    rec = {"val_accuracy": accuracy}
-    for raw_key, centered_key, i in _ANISOTROPY_FIELDS:
-        rec[raw_key] = raw[i]
-        rec[centered_key] = centered[i]
-    return rec
+    all equal (centered, which comes back as None).  Representations that
+    are not finite, where it raises, score 0.0 too."""
+    logits, reps = forward(mlp, val_x)[:2]  # frees the other layers' activations
+    hits = np.count_nonzero(logits.argmax(axis=-1) == val_y, axis=-1).tolist()
+    scores, _ = _anisotropy_scores(reps[:, :EVAL_BATCH_SIZE])
+    k_max = min(_ANISOTROPY_K_MAX, scores.shape[-1])
+    padded = np.zeros((*scores.shape[:2], _ANISOTROPY_K_MAX))
+    padded[..., :k_max] = scores[..., :k_max]
+    records = []
+    for n_hits, (raw, centered) in zip(hits, padded.tolist()):
+        rec = {"val_accuracy": n_hits / val_y.size}
+        for raw_key, centered_key, i in _ANISOTROPY_FIELDS:
+            rec[raw_key] = raw[i]
+            rec[centered_key] = centered[i]
+        records.append(rec)
+    return records
 
 
 # overflow leaves inf or nan in the blobs, the loss or a parameter, which
@@ -276,6 +280,16 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
     mode = REGIMES[cfg.regime]
 
     records: list[dict] = []
+    # each pending record's step left its parameters in the matching row
+    chunk = np.empty((EVAL_CHUNK, mlp.params.size))
+    pending: list[dict] = []
+
+    def flush():
+        if pending:
+            for rec, scores in zip(pending, _evaluate(MLP(dims, chunk[: len(pending)]), val_x, val_y)):
+                rec.update(scores)
+            pending.clear()
+
     step = 0
     for _ in range(cfg.epochs):
         order = batch_rng.permutation(train_idx)
@@ -285,9 +299,11 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
                 mlp, x[batch], y[batch], mode, cfg.entropy_weight
             )
             if not math.isfinite(breakdown.total):
+                flush()
                 return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
             adam_step(mlp.params, grad, state, sched, cfg.weight_decay)
             if not np.isfinite(mlp.params).all():
+                flush()
                 return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
             step += 1
             rec = {
@@ -296,8 +312,12 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
                 "ent": breakdown.ent,
                 "total": breakdown.total,
             }
-            rec.update(_evaluate(mlp, val_x, val_y))
             records.append(rec)
+            chunk[len(pending)] = mlp.params
+            pending.append(rec)
+            if len(pending) == EVAL_CHUNK:
+                flush()
+    flush()
     return RunMetrics(seed=seed, records=records)
 
 

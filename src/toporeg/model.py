@@ -37,13 +37,16 @@ def _param_count(dims: list[int]) -> int:
 
 
 def _layer_views(buf: np.ndarray, dims: list[int]):
-    """Per-layer (weights, biases) views of a flat buffer laid out w0, b0, w1, b1, ..."""
+    """Per-layer (weights, biases) views of a buffer laid out w0, b0, w1, b1,
+    ... along its last axis; a stack of S such vectors gives S x fan_in x
+    fan_out weights and S x fan_out biases."""
     weights, biases = [], []
+    stack = buf.shape[:-1]
     start = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(buf[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(buf[..., start : start + fan_in * fan_out].reshape(*stack, fan_in, fan_out))
         start += fan_in * fan_out
-        biases.append(buf[start : start + fan_out])
+        biases.append(buf[..., start : start + fan_out])
         start += fan_out
     return weights, biases
 
@@ -55,7 +58,9 @@ class MLP:
     ``params`` holds every weight and bias, laid out w0, b0, w1, b1, ...;
     ``weights[l]`` (fan_in x fan_out) and ``biases[l]`` are views into it, so
     an in-place update of ``params`` updates the layers.  The last hidden
-    layer's activations act as the representation cloud.
+    layer's activations act as the representation cloud.  ``params`` may
+    also be an S x P stack of such vectors, S networks of one shape that
+    ``forward`` runs together; training takes a single vector.
     """
 
     dims: list[int]
@@ -67,10 +72,10 @@ class MLP:
         if len(self.dims) < 2:
             raise ValueError("dims must list at least input and output sizes")
         size = _param_count(self.dims)
-        if np.shape(self.params) != (size,):
+        if np.shape(self.params)[-1:] != (size,):
             raise ValueError(
                 f"params of shape {np.shape(self.params)} do not fit dims {self.dims}, "
-                f"which need ({size},)"
+                f"which need ({size},) or a stack of them"
             )
         self.weights, self.biases = _layer_views(self.params, self.dims)
 
@@ -87,19 +92,21 @@ def forward(mlp: MLP, batch: np.ndarray):
     """Run the network; returns (logits, representations, cache).
 
     cache holds every layer's post-activation output (index 0 is the input),
-    which is all tanh backprop needs.
+    which is all tanh backprop needs.  For a stacked ``mlp`` every output
+    past the input gains a leading axis, one slice per network, each
+    bitwise what that network alone gives.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
-        raise ValueError(
-            f"batch shape {x.shape} does not match input dim {mlp.weights[0].shape[0]}"
-        )
+    fan_in = mlp.weights[0].shape[-2]
+    if x.ndim != 2 or x.shape[1] != fan_in:
+        raise ValueError(f"batch shape {x.shape} does not match input dim {fan_in}")
     activations = [x]
     h = x
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w + b
-        h = z if l == last else np.tanh(z)
+        z = h @ w
+        z += b[..., None, :]
+        h = z if l == last else np.tanh(z, out=z)
         activations.append(h)
     # the last hidden layer, or the output where there is none
     return activations[-1], activations[max(last, 1)], activations
@@ -121,11 +128,14 @@ def backward_combined(
 ):
     """Gradients of ce - lam * per-class entropy w.r.t. every parameter.
 
-    ``labels`` holds each row's class as an integer index into the logits.
+    ``labels`` holds each row's class as an integer index into the logits;
+    ``mlp`` holds one parameter vector, and a stack raises ValueError.
     mode=None disables the entropy term entirely (no persistence code runs).
     Returns (ObjectiveBreakdown, grad) with grad one flat array laid out
     like mlp.params.
     """
+    if mlp.params.ndim != 1:
+        raise ValueError(f"backward_combined takes one parameter vector, got a stack of shape {mlp.params.shape}")
     labels = _labels(labels)
     logits, reps, activations = forward(mlp, batch)
     n = logits.shape[0]

@@ -67,7 +67,9 @@ def _labels(labels) -> np.ndarray:
 def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> EntropyLossGrad:
     """Persistent entropy of an N x D cloud's barcode and its coordinate
     gradient; raises ValueError on fewer than 2 points, a cloud that is not
-    2-D and finite, or a mode that is not a SelectionMode."""
+    2-D and finite, or a mode that is not a SelectionMode.  A gradient
+    entry beyond float64's range (points subnormally close, such as
+    [[0], [5e-324], [1.5e-323]]) comes out as +-inf, without a warning."""
     _check_mode(mode)
     x, exponent = _points(x)
     if exponent:
@@ -100,7 +102,8 @@ def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> Entrop
     np.negative(step, out=signed[1::2])
     np.add.at(grad, ends, signed)
     if exponent:
-        np.ldexp(grad, -exponent, out=grad)
+        with np.errstate(over="ignore"):  # documented: inf past float64's range
+            np.ldexp(grad, -exponent, out=grad)
     return EntropyLossGrad(value=float(value), grad=grad, degenerate=False)
 
 

@@ -41,13 +41,29 @@ def _dump(obj, indent: int, newline: str) -> str:
     inner = newline + " " * indent
     sep = "," + inner if indent else ", "
     if isinstance(obj, list):
-        body = sep.join([_dump(value, indent, inner) for value in obj])
+        body = sep.join(_items(obj, indent, inner))
         return "[" + inner + body + newline + "]" if obj else "[]"
     for key in obj:
         if not isinstance(key, str):
             raise TypeError(f"JSON object keys must be strings, got {key!r}")
-    body = sep.join([f"{encode_basestring(key)}: {_dump(value, indent, inner)}" for key, value in obj.items()])
+    items = _items(obj.values(), indent, inner)
+    body = sep.join([f"{encode_basestring(key)}: {item}" for key, item in zip(obj, items)])
     return "{" + inner + body + newline + "}" if obj else "{}"
+
+
+def _items(values, indent: int, inner: str) -> list[str]:
+    """The text of each value: finite floats and ints formatted here, the
+    rest, containers included, by _dump."""
+    out = []
+    for value in values:
+        kind = type(value)  # exact types: bool and float subclasses go to _dump
+        if kind is float and math.isfinite(value):
+            out.append(format(value, ".17g"))
+        elif kind is int:
+            out.append(str(value))
+        else:
+            out.append(_dump(value, indent, inner))
+    return out
 
 
 def write_jsonl(records, path) -> None:

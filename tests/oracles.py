@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: scalar loops, exhaustive enumeration,
 textbook algorithms.  Nothing is shared with the package under test, so a
-bug has to appear twice (and identically) to go unnoticed.
+bug has to appear twice (and identically) to go unnoticed.  The exception
+is ``per_step_records``, which replays a training run with the package's
+own step functions and differs from ``run_seed`` only in when it evaluates.
 """
 
 from __future__ import annotations
@@ -414,3 +416,59 @@ def single_spectrum_scores(m, k_max: int, centered: bool):
     sigma[sigma <= noise] = 0.0
     total = float((sigma * sigma).sum())
     return (sigma[:k_max] ** 2) / total if total else None
+
+
+def per_step_records(cfg, seed) -> list[dict]:
+    """``run_seed``'s records, evaluated after every step: one ``forward``
+    on the single parameter vector and one ``anisotropy_profile`` call per
+    step, 0.0 past the rank bound or where the call raises (raw) or gives
+    None (centered).  Stops before the first step whose loss or updated
+    parameters are not finite."""
+    from toporeg import harness
+    from toporeg.model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
+    from toporeg.geometry import anisotropy_profile
+
+    x, y, train_idx, val_idx = harness._load_dataset(cfg, seed)
+    dims = [x.shape[1], *cfg.hidden_dims, int(y.max()) + 1]
+    mlp = MLP.init(dims, np.random.default_rng([seed, harness._STREAM_INIT]))
+    state = AdamState.for_params(mlp.params)
+    steps_per_epoch = train_idx.size // cfg.batch_size
+    sched = WarmupSchedule.for_total(cfg.base_lr, cfg.epochs * steps_per_epoch)
+    batch_rng = np.random.default_rng([seed, harness._STREAM_BATCHES])
+    val_x, val_y = x[val_idx], y[val_idx]
+    mode = harness.REGIMES[cfg.regime]
+    records = []
+    for _ in range(cfg.epochs):
+        order = batch_rng.permutation(train_idx)
+        for b in range(steps_per_epoch):
+            batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            breakdown, grad = backward_combined(mlp, x[batch], y[batch], mode, cfg.entropy_weight)
+            if not math.isfinite(breakdown.total):
+                return records
+            adam_step(mlp.params, grad, state, sched, cfg.weight_decay)
+            if not np.isfinite(mlp.params).all():
+                return records
+            logits, reps, _ = forward(mlp, val_x)
+            reps = reps[: harness.EVAL_BATCH_SIZE]
+            k_max = min(3, min(reps.shape))
+            raw = centered = [0.0] * 3
+            try:
+                profile = anisotropy_profile(reps, k_max=k_max)
+            except ValueError:
+                pass
+            else:
+                raw = profile.scores.tolist() + [0.0] * (3 - k_max)
+                if profile.other_scores is not None:
+                    centered = profile.other_scores.tolist() + [0.0] * (3 - k_max)
+            rec = {
+                "step": len(records) + 1,
+                "ce": breakdown.ce,
+                "ent": breakdown.ent,
+                "total": breakdown.total,
+                "val_accuracy": int(np.count_nonzero(logits.argmax(axis=1) == val_y)) / val_y.size,
+            }
+            for k in (1, 2, 3):
+                rec[f"anisotropy_raw_{k}"] = raw[k - 1]
+                rec[f"anisotropy_centered_{k}"] = centered[k - 1]
+            records.append(rec)
+    return records

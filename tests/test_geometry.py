@@ -394,3 +394,32 @@ class TestBothSpectra:
         elif kind == "sparse":
             m[rng.random(size=m.shape) < 0.7] = 0.0
         self.check(m, int(rng.integers(1, min(n, dim) + 1)))
+
+    @pytest.mark.parametrize(
+        "shape", [(64, 16), (5, 16), (2, 16), (30, 1), (1, 4)], ids=["tall", "wide", "two_rows", "one_column", "one_row"]
+    )
+    def test_stacked_scores_equal_single_spectrum_solves_bitwise(self, shape):
+        # rows of one stack: normal at several scales, offset, all zero,
+        # collapsed, sparse, and NaN and Inf entries, which score all zeros
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        stack = rng.normal(size=(9, *shape)) * 10.0 ** rng.integers(-20, 21, size=(9, 1, 1))
+        stack[2] += 1e3 * rng.normal(size=shape[1])
+        stack[3] = 0.0
+        stack[4] = stack[4, 0]
+        stack[5][rng.random(size=shape) < 0.7] = 0.0
+        stack[6, 0, 0] = np.nan
+        stack[7, -1, -1] = -np.inf
+        scores, totals = geometry._anisotropy_scores(stack)
+        rank_bound = min(shape)
+        assert scores.shape == (9, 2, rank_bound) and totals.shape == (9, 2)
+        for i, m in enumerate(stack):
+            for variant, centered in enumerate((False, True)):
+                got = scores[i, variant]
+                if i in (6, 7):
+                    assert np.isnan(totals[i, variant]) and not got.any()
+                    continue
+                want = single_spectrum_scores(m, rank_bound, centered)
+                if want is None:
+                    assert totals[i, variant] == 0.0 and not got.any()
+                else:
+                    assert totals[i, variant] > 0.0 and got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import toporeg.harness as harness
 import toporeg.regularizer as regularizer
 from toporeg.geometry import anisotropy_profile
-from toporeg.model import MLP
+from toporeg.model import MLP, ObjectiveBreakdown
 from toporeg.harness import (
     BlobSpec,
     ConfigError,
@@ -17,6 +18,8 @@ from toporeg.harness import (
     summarize,
     tail_mean,
 )
+
+from oracles import per_step_records
 
 
 def smoke_config(**kw):
@@ -30,6 +33,12 @@ def smoke_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def record_bits(records):
+    """Each record's keys in order, floats as their bytes: equal exactly
+    where the records are equal key for key and bit for bit."""
+    return [[(key, struct.pack("<d", v) if type(v) is float else v) for key, v in rec.items()] for rec in records]
 
 
 class TestGenerateBlobs:
@@ -204,21 +213,27 @@ class TestRunSeed:
     def test_all_zero_representations_score_zero_anisotropy(self):
         # with every parameter 0, each representation is tanh(0) = 0, whose
         # anisotropy is undefined (anisotropy_profile raises) raw and centered
-        mlp = MLP.init([4, 8, 2], np.random.default_rng(0))
-        mlp.params[...] = 0.0
-        rec = harness._evaluate(mlp, np.ones((10, 4)), np.zeros(10, dtype=int))
-        assert rec["val_accuracy"] == 1.0
-        assert all(rec[f"anisotropy_{kind}_{k}"] == 0.0 for kind in ("raw", "centered") for k in (1, 2, 3))
+        dims = [4, 8, 2]
+        params = MLP.init(dims, np.random.default_rng(0)).params
+        stack = np.stack([params, np.zeros_like(params)])
+        live, zero = harness._evaluate(MLP(dims, stack), np.ones((10, 4)), np.zeros(10, dtype=int))
+        assert zero["val_accuracy"] == 1.0
+        assert all(zero[f"anisotropy_{kind}_{k}"] == 0.0 for kind in ("raw", "centered") for k in (1, 2, 3))
+        # the same inputs through live weights coincide: one raw direction
+        assert live["anisotropy_raw_1"] == 1.0
 
     def test_val_accuracy_is_the_mean_of_hits_bitwise(self):
         # many sizes, so a count times 1/n would round differently somewhere
+        dims = [4, 8, 3]
         for n in range(1, 65):
-            mlp = MLP.init([4, 8, 3], np.random.default_rng(n))
+            stack = np.stack([MLP.init(dims, np.random.default_rng([n, i])).params for i in range(3)])
             rng = np.random.default_rng(n + 1)
             val_x, val_y = rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
-            logits, _, _ = harness.forward(mlp, val_x)
-            rec = harness._evaluate(mlp, val_x, val_y)
-            assert rec["val_accuracy"] == float((np.argmax(logits, axis=1) == val_y).mean()), n
+            records = harness._evaluate(MLP(dims, stack), val_x, val_y)
+            assert len(records) == 3
+            for row, rec in zip(stack, records):
+                logits, _, _ = harness.forward(MLP(dims, row), val_x)
+                assert rec["val_accuracy"] == float((np.argmax(logits, axis=1) == val_y).mean()), n
 
     def test_collapsed_representations_score_zero_centered_anisotropy(self):
         # with spread 0 the validation representations all coincide, so
@@ -246,34 +261,59 @@ class TestRunSeed:
             scores = [0.0] * k_max
         return scores + [0.0] * (3 - k_max)
 
+    @classmethod
+    def separate_record(cls, mlp, val_x, val_y):
+        """One step's evaluation of a single parameter vector: its own
+        forward pass and one anisotropy_profile call per variant."""
+        logits, reps, _ = harness.forward(mlp, val_x)
+        reps = reps[: harness.EVAL_BATCH_SIZE]
+        raw, centered = cls.separate_scores(reps, False), cls.separate_scores(reps, True)
+        rec = {"val_accuracy": float((logits.argmax(axis=1) == val_y).mean())}
+        for k in (1, 2, 3):
+            rec[f"anisotropy_raw_{k}"] = raw[k - 1]
+            rec[f"anisotropy_centered_{k}"] = centered[k - 1]
+        return rec
+
     @pytest.mark.parametrize(
-        "dims,n_val,kind",
-        [([4, 8, 2], 80, "tall"), ([4, 16, 2], 5, "wide"), ([4, 16, 2], 2, "two_rows"),
-         ([4, 8, 2], 30, "all_zero"), ([4, 8, 2], 30, "collapsed"), ([4, 6, 3, 2], 70, "tall_deep")],
-        ids=["tall", "wide", "two_rows", "all_zero", "collapsed", "tall_deep"],
+        "dims,n_val,collapse_input",
+        [([4, 8, 2], 80, False), ([4, 16, 2], 5, False), ([4, 16, 2], 2, False),
+         ([4, 6, 3, 2], 70, False), ([4, 1, 2], 30, False), ([4, 8, 2], 30, True)],
+        ids=["tall", "wide", "two_rows", "tall_deep", "one_unit", "collapsed_input"],
     )
-    def test_evaluate_equals_separate_single_variant_calls_bitwise(self, dims, n_val, kind):
-        mlp = MLP.init(dims, np.random.default_rng(len(dims) + n_val))
-        rng = np.random.default_rng(n_val)
+    def test_evaluate_equals_separate_single_variant_calls_bitwise(self, dims, n_val, collapse_input):
+        rng = np.random.default_rng(len(dims) + n_val)
+        live = [MLP.init(dims, rng) for _ in range(2)]
+        # first-layer weights 0 and biases not: every representation coincides
+        collapsed = MLP.init(dims, rng)
+        collapsed.weights[0][...] = 0.0
+        collapsed.biases[0][...] = rng.normal(size=dims[1])
+        stack = np.stack([live[0].params, np.zeros_like(live[0].params), collapsed.params, live[1].params])
         val_x, val_y = rng.normal(size=(n_val, 4)), rng.integers(0, 2, size=n_val)
-        if kind == "all_zero":
-            mlp.params[...] = 0.0
-        elif kind == "collapsed":
+        if collapse_input:
             val_x[...] = val_x[0]
-        reps = harness.forward(mlp, val_x)[1][: harness.EVAL_BATCH_SIZE]
-        rec = harness._evaluate(mlp, val_x, val_y)
-        raw, centered = self.separate_scores(reps, False), self.separate_scores(reps, True)
-        got_raw = [rec[f"anisotropy_raw_{k}"] for k in (1, 2, 3)]
-        got_centered = [rec[f"anisotropy_centered_{k}"] for k in (1, 2, 3)]
-        assert all(type(v) is float for v in got_raw + got_centered)
-        assert np.array(got_raw).tobytes() == np.array(raw).tobytes()
-        assert np.array(got_centered).tobytes() == np.array(centered).tobytes()
-        if kind == "all_zero":
-            assert got_raw == got_centered == [0.0, 0.0, 0.0]
-        elif kind == "collapsed":
-            assert got_centered == [0.0, 0.0, 0.0] and got_raw == [1.0, 0.0, 0.0]
-        else:
-            assert got_raw[0] > 0.0 and got_centered[0] > 0.0
+        got = harness._evaluate(MLP(dims, stack), val_x, val_y)
+        want = [self.separate_record(MLP(dims, row), val_x, val_y) for row in stack]
+        assert record_bits(got) == record_bits(want)
+        assert all(type(v) is float for rec in got for v in rec.values())
+        raw, centered = (
+            [[rec[f"anisotropy_{kind}_{k}"] for k in (1, 2, 3)] for rec in got] for kind in ("raw", "centered")
+        )
+        assert raw[1] == centered[1] == [0.0, 0.0, 0.0]  # all zero
+        assert raw[2] == [1.0, 0.0, 0.0] and centered[2] == [0.0, 0.0, 0.0]  # collapsed
+        for i in (0, 3):
+            assert raw[i][0] > 0.0 and (centered[i][0] == 0.0) == collapse_input
+
+    @pytest.mark.parametrize("regime", list(harness.REGIMES))
+    @pytest.mark.parametrize(
+        "kw,past_chunk",
+        [(dict(epochs=3), -20), (dict(epochs=8), 0), (dict(epochs=11, batch_size=21), 1)],
+        ids=["under_a_chunk", "one_chunk", "one_past_a_chunk"],
+    )
+    def test_chunked_evaluation_equals_per_step_evaluation_bitwise(self, regime, kw, past_chunk):
+        cfg = smoke_config(regime=regime, **kw)
+        run = run_seed(cfg, 0)
+        assert not run.diverged and len(run.records) == harness.EVAL_CHUNK + past_chunk
+        assert record_bits(run.records) == record_bits(per_step_records(cfg, 0))
 
     def test_objective_breakdown_identity_in_records(self):
         cfg = smoke_config(regime="all_bars", entropy_weight=0.5)
@@ -281,24 +321,48 @@ class TestRunSeed:
         for rec in run.records:
             assert rec["total"] == pytest.approx(rec["ce"] - 0.5 * rec["ent"], abs=1e-12)
 
-    def test_divergence_aborts_with_diagnostic(self, monkeypatch):
-        from toporeg.model import ObjectiveBreakdown
+    # divergence before a flush of part of a chunk, and one step past a full one
+    DIVERGE_AT = (3, harness.EVAL_CHUNK + 1)
 
+    @pytest.mark.parametrize("diverge_at", DIVERGE_AT)
+    def test_divergence_aborts_with_diagnostic(self, monkeypatch, diverge_at):
+        cfg = smoke_config(epochs=9)  # 36 steps
+        undiverged = run_seed(cfg, 0).records
         calls = {"n": 0}
         real = harness.backward_combined
 
         def exploding(mlp, batch, labels, mode, lam):
             calls["n"] += 1
-            if calls["n"] >= 3:
-                bd, grads = real(mlp, batch, labels, mode, lam)
+            breakdown, grads = real(mlp, batch, labels, mode, lam)
+            if calls["n"] >= diverge_at:
                 return ObjectiveBreakdown(ce=float("nan"), ent=0.0, total=float("nan")), grads
-            return real(mlp, batch, labels, mode, lam)
+            return breakdown, grads
 
         monkeypatch.setattr(harness, "backward_combined", exploding)
-        run = run_seed(smoke_config(), 0)
+        run = run_seed(cfg, 0)
         assert run.diverged
-        assert run.divergence_step == 3
-        assert len(run.records) == 2  # steps before the blow-up are retained
+        assert run.divergence_step == diverge_at
+        # steps before the blow-up are retained, each fully evaluated
+        assert record_bits(run.records) == record_bits(undiverged[: diverge_at - 1])
+
+    @pytest.mark.parametrize("diverge_at", DIVERGE_AT)
+    def test_non_finite_parameters_abort_with_evaluated_records(self, monkeypatch, diverge_at):
+        cfg = smoke_config(epochs=9)
+        undiverged = run_seed(cfg, 0).records
+        calls = {"n": 0}
+        real = harness.adam_step
+
+        def poisoning(params, grad, state, sched, weight_decay):
+            real(params, grad, state, sched, weight_decay)
+            calls["n"] += 1
+            if calls["n"] == diverge_at:
+                params[0] = np.nan
+
+        monkeypatch.setattr(harness, "adam_step", poisoning)
+        run = run_seed(cfg, 0)
+        assert run.diverged
+        assert run.divergence_step == diverge_at
+        assert record_bits(run.records) == record_bits(undiverged[: diverge_at - 1])
 
     def test_batch_larger_than_train_set_rejected(self):
         with pytest.raises(ConfigError):

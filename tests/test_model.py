@@ -71,6 +71,27 @@ class TestForward:
                 MLP(dims=[3, 4, 2], params=params)
         with pytest.raises(ValueError):
             MLP(dims=[3], params=np.zeros(0))
+        stacked = MLP(dims=[3, 4, 2], params=np.zeros((5, 26)))
+        assert stacked.weights[1].shape == (5, 4, 2) and stacked.biases[1].shape == (5, 2)
+        stacked.weights[1][3, 2, 1] = 7.0
+        assert stacked.params[3, 3 * 4 + 4 + 2 * 2 + 1] == 7.0  # views, row by row
+
+    @pytest.mark.parametrize("dims", [(3, 5, 4, 2), (4, 8, 2), (4, 4), (3, 1, 2), (2, 16, 3)])
+    def test_stacked_forward_slices_equal_single_forward_bitwise(self, dims):
+        dims = list(dims)
+        rng = np.random.default_rng(21)
+        stack = np.stack([small_mlp(seed, dims).params for seed in range(5)])
+        stack[1] = 0.0
+        stack[3] *= 1e3  # saturated tanh units
+        batch = rng.normal(size=(7, dims[0]))
+        logits, reps, activations = forward(MLP(dims, stack), batch)
+        assert logits.shape == (5, 7, dims[-1]) and activations[0].shape == batch.shape
+        for i, row in enumerate(stack):
+            want_logits, want_reps, want_activations = forward(MLP(dims, row), batch)
+            assert logits[i].tobytes() == want_logits.tobytes()
+            assert reps[i].tobytes() == want_reps.tobytes()
+            for got, want in zip(activations[1:], want_activations[1:]):
+                assert got[i].tobytes() == want.tobytes()
 
     def test_layers_are_views_of_the_flat_buffer(self):
         mlp = small_mlp(seed=13)
@@ -183,6 +204,11 @@ class TestBackwardCombined:
         with pytest.raises(ValueError, match="labels must be integers"):
             backward_combined(mlp, batch, labels, mode)
         backward_combined(mlp, batch, [0, 0, 1, 1], mode)  # a list of ints is fine
+
+    def test_stacked_parameters_rejected(self):
+        stacked = MLP([3, 4, 2], np.zeros((2, 26)))
+        with pytest.raises(ValueError, match="one parameter vector"):
+            backward_combined(stacked, np.ones((5, 3)), np.zeros(5, dtype=int), mode=None)
 
     def test_entropy_requires_hidden_layer(self):
         mlp = MLP.init([3, 3], np.random.default_rng(0))

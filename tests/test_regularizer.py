@@ -11,7 +11,7 @@ from toporeg.persistence import vr_barcode_0d
 from toporeg.regularizer import SelectionMode, entropy_loss_grad, per_class_entropy_loss
 
 from gradcheck import entropy_grad_check, loss_value, discrete_structure
-from oracles import entropy_grad_loop
+from oracles import entropy_formula, entropy_grad_loop
 
 MODES = [SelectionMode.ALL_BARS, SelectionMode.SELECTED_BARS]
 
@@ -156,6 +156,14 @@ class TestInvariances:
         for res in (entropy_loss_grad(cloud, mode), per_class_entropy_loss(cloud, [0, 0, 0], mode)):
             assert res.value == pytest.approx(math.log(2), abs=1e-15)
             assert np.isfinite(res.grad).all()
+
+    def test_gradient_beyond_float64_comes_out_inf(self):
+        # bars of 5e-324 and 1e-323 run at 2**1072 times their length; scaled
+        # back, the gradient exceeds float64, with no RuntimeWarning
+        cloud = [[0.0], [5e-324], [1.5e-323]]
+        for res in (entropy_loss_grad(cloud), per_class_entropy_loss(cloud, [0, 0, 0])):
+            assert res.value == pytest.approx(entropy_formula([1.0, 2.0]), abs=1e-15)
+            assert res.grad.ravel().tolist() == [-math.inf, math.inf, -math.inf]
 
     @pytest.mark.parametrize("scale", [1e-170, 1e154, 1e300])
     def test_clouds_far_from_unit_scale_keep_the_value(self, scale):

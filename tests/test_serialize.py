@@ -85,3 +85,16 @@ def test_non_finite_float_raises_value_error(value):
 def test_unlisted_types_raise_type_error(value):
     with pytest.raises(TypeError):
         dump_json([value])
+
+
+def test_bools_inside_containers_are_not_ints():
+    # bool is an int subclass; inside a list or dict True must still write true
+    payload = {"a": True, "b": [False, 1, True, None], "c": 1}
+    assert dump_json(payload) == '{"a": true, "b": [false, 1, true, null], "c": 1}'
+    assert dump_json([True, {"k": False}], indent=1) == '[\n true,\n {\n  "k": false\n }\n]'
+
+
+def test_float_subclasses_inside_containers_format_like_floats():
+    assert dump_json({"x": np.float64(0.1), "y": [np.float64(-0.0)]}) == '{"x": 0.10000000000000001, "y": [-0]}'
+    with pytest.raises(ValueError):
+        dump_json({"x": [np.float64(np.inf)]})
