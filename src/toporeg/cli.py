@@ -5,18 +5,26 @@
     toporeg anisotropy cloud.csv --k 3 --centered     # anisotropy scores
     toporeg train      --config cfg.json --out runs/  # experiment sweep
 
-Commands are pure functions of their inputs: the same file and flags always
-produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input or
-config (including coordinates so large that their distances overflow to
-inf, training data with a single class, and a training output directory or
-file that cannot be created or written), 3 too few points (or too few
-distinct points for an entropy), 4 k out of range, 5 training diverged (a
-non-finite loss or parameter).
+Commands are pure functions of their inputs.  ``barcode`` and ``entropy``
+use no BLAS, so the same file and flags give byte-identical output on any
+machine with the same numpy build.  ``train`` and ``anisotropy`` go through
+BLAS and LAPACK: their output is byte-identical on one machine with one
+BLAS kernel, and may move in the last digits under another kernel.
+
+Exit codes: 0 ok, 2 unparseable input or config (including coordinates so
+large that their distances overflow to inf, training data with a single
+class, a training output directory or file that cannot be created or
+written, and input too large for the memory the process may allocate),
+3 too few points (or too few distinct points for an entropy), 4 k out of
+range, 5 training diverged (a non-finite loss or parameter).  An
+allocation the OS grants but later cannot back may still get the process
+killed without a message.
 
 A command returns EXIT_OK or raises; ``main`` alone turns the exception
 into its exit code and one ``error:`` line on stderr.  Unreadable files
-(OSError), malformed CSVs (CloudParseError) and invalid configs
-(ConfigError) map to exit 2; every other failure carries its own code.
+(OSError), malformed CSVs (CloudParseError), invalid configs (ConfigError)
+and failed allocations (MemoryError, named with the command and the size)
+map to exit 2; every other failure carries its own code.
 
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 """
@@ -201,6 +209,8 @@ def main(argv=None) -> int:
         code, message = exc.code, str(exc)
     except (OSError, CloudParseError, ConfigError) as exc:
         code, message = EXIT_PARSE, str(exc)
+    except MemoryError as exc:  # numpy's message names the size that failed
+        code, message = EXIT_PARSE, f"{args.command}: out of memory: {str(exc) or 'allocation failed'}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -10,8 +10,7 @@ where sigma_1 >= sigma_2 >= ... are the singular values of X.  Scores over
 all k = 1..min(N, D) form a distribution (they sum to 1); a score near 1 at
 k = 1 means the rows concentrate along a single direction.  With ``centered``
 the column mean is subtracted first, which turns the scores into normalized
-eigenvalues of the covariance matrix.  Each call scores both variants, so
-one call per representation matrix gives the raw and the centered scores.
+eigenvalues of the covariance matrix.
 
 Pairwise distances are computed in strips of at least 64 rows (the last
 may be shorter).  A strip fills its own square and everything right of it
@@ -65,11 +64,9 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass
 class AnisotropyProfile:
-    """Anisotropy scores for k = 1..len(scores), raw or centered as asked,
-    and the same k of the other variant, None where it is undefined."""
+    """Anisotropy scores for k = 1..len(scores), raw or centered as asked."""
 
     scores: np.ndarray
-    other_scores: np.ndarray | None = None
 
     def score(self, k: int) -> float:
         return float(self.scores[k - 1])
@@ -186,15 +183,14 @@ def _anisotropy_scores(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
     """Anisotropy scores for k = 1..k_max (default: the full spectrum), raw
-    or ``centered``, with the other variant's scores as ``other_scores``.
+    or ``centered``.
 
     Works on m rescaled by the power of two that brings max|m| into [0.5, 1),
-    which changes no score, and solves both spectra in one stacked
-    eigensolve, whose values are bitwise those of two single ones.  Singular
-    values within rounding noise of the input count as zero.  Raises
-    ValueError on NaN or Inf entries and when no singular value of the
-    requested variant is left (every entry zero, or every row equal for
-    ``centered``); ``other_scores`` is None where that holds for the other.
+    which changes no score, in the stacked core, whose values are bitwise
+    those of a single-spectrum eigensolve.  Singular values within rounding
+    noise of the input count as zero.  Raises ValueError on NaN or Inf
+    entries and when no singular value of the requested variant is left
+    (every entry zero, or every row equal for ``centered``).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -204,12 +200,11 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
         k_max = rank_bound
     if not 1 <= k_max <= rank_bound:
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
+    variant = 1 if centered else 0
     scores, totals = _anisotropy_scores(m[None])
-    totals = totals[0].tolist()
-    if math.isnan(totals[0]):
+    total = float(totals[0, variant])
+    if math.isnan(total):
         raise ValueError("matrix contains NaN or Inf entries")
-    raw_scores, centered_scores = (s[:k_max] if t else None for s, t in zip(scores[0], totals))
-    scores, other = (centered_scores, raw_scores) if centered else (raw_scores, centered_scores)
-    if scores is None:
+    if not total:
         raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")
-    return AnisotropyProfile(scores=scores, other_scores=other)
+    return AnisotropyProfile(scores=scores[0, variant, :k_max])

@@ -276,49 +276,48 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
     sched = WarmupSchedule.for_total(cfg.base_lr, total_steps)
     batch_rng = np.random.default_rng([seed, _STREAM_BATCHES])
 
+    def batches():  # each epoch's order is drawn when its first batch is reached
+        for _ in range(cfg.epochs):
+            order = batch_rng.permutation(train_idx)
+            for b in range(steps_per_epoch):
+                yield order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+
     val_x, val_y = x[val_idx], y[val_idx]
     mode = REGIMES[cfg.regime]
 
     records: list[dict] = []
-    # each pending record's step left its parameters in the matching row
+    # the last `pending` records' steps left their parameters in its first rows
     chunk = np.empty((EVAL_CHUNK, mlp.params.size))
-    pending: list[dict] = []
+    pending = 0
 
     def flush():
-        if pending:
-            for rec, scores in zip(pending, _evaluate(MLP(dims, chunk[: len(pending)]), val_x, val_y)):
-                rec.update(scores)
-            pending.clear()
+        for rec, scores in zip(records[-pending:], _evaluate(MLP(dims, chunk[:pending]), val_x, val_y)):
+            rec.update(scores)
 
-    step = 0
-    for _ in range(cfg.epochs):
-        order = batch_rng.permutation(train_idx)
-        for b in range(steps_per_epoch):
-            batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            breakdown, grad = backward_combined(
-                mlp, x[batch], y[batch], mode, cfg.entropy_weight
-            )
-            if not math.isfinite(breakdown.total):
-                flush()
-                return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
+    for batch in batches():
+        breakdown, grad = backward_combined(mlp, x[batch], y[batch], mode, cfg.entropy_weight)
+        finite = math.isfinite(breakdown.total)
+        if finite:
             adam_step(mlp.params, grad, state, sched, cfg.weight_decay)
-            if not np.isfinite(mlp.params).all():
-                flush()
-                return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=step + 1)
-            step += 1
-            rec = {
-                "step": step,
-                "ce": breakdown.ce,
-                "ent": breakdown.ent,
-                "total": breakdown.total,
-            }
-            records.append(rec)
-            chunk[len(pending)] = mlp.params
-            pending.append(rec)
-            if len(pending) == EVAL_CHUNK:
-                flush()
-    flush()
-    return RunMetrics(seed=seed, records=records)
+        if not (finite and np.isfinite(mlp.params).all()):
+            break
+        rec = {
+            "step": len(records) + 1,
+            "ce": breakdown.ce,
+            "ent": breakdown.ent,
+            "total": breakdown.total,
+        }
+        records.append(rec)
+        chunk[pending] = mlp.params
+        pending += 1
+        if pending == EVAL_CHUNK:
+            flush()
+            pending = 0
+    if pending:
+        flush()
+    diverged = len(records) < total_steps
+    divergence_step = len(records) + 1 if diverged else None
+    return RunMetrics(seed=seed, records=records, diverged=diverged, divergence_step=divergence_step)
 
 
 def tail_mean(records: list[dict], metric: str) -> float:
@@ -331,7 +330,6 @@ def tail_mean(records: list[dict], metric: str) -> float:
 
 def summarize(runs: list[RunMetrics]) -> dict:
     """Per-metric mean and population std over seeds of last-30% averages."""
-    runs = [r for r in runs if r.records]
     if not runs or any(len(r.records) < 10 for r in runs):
         raise ValueError("summarize needs at least one run with >= 10 records each")
     metrics = [key for key in runs[0].records[0] if key != "step"]

@@ -418,15 +418,25 @@ def single_spectrum_scores(m, k_max: int, centered: bool):
     return (sigma[:k_max] ** 2) / total if total else None
 
 
+def _padded_scores(reps, k_max, centered) -> list[float]:
+    """``anisotropy_profile``'s first k_max scores, padded with 0.0 to three,
+    or three 0.0 where the call raises."""
+    from toporeg.geometry import anisotropy_profile
+
+    try:
+        return anisotropy_profile(reps, k_max=k_max, centered=centered).scores.tolist() + [0.0] * (3 - k_max)
+    except ValueError:
+        return [0.0] * 3
+
+
 def per_step_records(cfg, seed) -> list[dict]:
     """``run_seed``'s records, evaluated after every step: one ``forward``
-    on the single parameter vector and one ``anisotropy_profile`` call per
-    step, 0.0 past the rank bound or where the call raises (raw) or gives
-    None (centered).  Stops before the first step whose loss or updated
+    on the single parameter vector and one raw and one centered
+    ``anisotropy_profile`` call per step, 0.0 past the rank bound or where
+    the call raises.  Stops before the first step whose loss or updated
     parameters are not finite."""
     from toporeg import harness
     from toporeg.model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
-    from toporeg.geometry import anisotropy_profile
 
     x, y, train_idx, val_idx = harness._load_dataset(cfg, seed)
     dims = [x.shape[1], *cfg.hidden_dims, int(y.max()) + 1]
@@ -451,15 +461,7 @@ def per_step_records(cfg, seed) -> list[dict]:
             logits, reps, _ = forward(mlp, val_x)
             reps = reps[: harness.EVAL_BATCH_SIZE]
             k_max = min(3, min(reps.shape))
-            raw = centered = [0.0] * 3
-            try:
-                profile = anisotropy_profile(reps, k_max=k_max)
-            except ValueError:
-                pass
-            else:
-                raw = profile.scores.tolist() + [0.0] * (3 - k_max)
-                if profile.other_scores is not None:
-                    centered = profile.other_scores.tolist() + [0.0] * (3 - k_max)
+            raw, centered = _padded_scores(reps, k_max, False), _padded_scores(reps, k_max, True)
             rec = {
                 "step": len(records) + 1,
                 "ce": breakdown.ce,

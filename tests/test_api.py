@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 import tomllib
 from pathlib import Path
@@ -69,3 +70,11 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert toporeg.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_readme_python_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -257,16 +258,117 @@ def train_config(tmp_path, **overrides):
     return str(path)
 
 
+def run_cli_process(argv, env=None, **kwargs):
+    """``python -m toporeg *argv`` in a fresh process, with ``env`` added to
+    this process's environment; returns the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "toporeg", *argv], capture_output=True, env=env, timeout=120, **kwargs)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     path = write_csv(tmp_path / "cloud.csv", "0,0\n3,4\n1,1\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "toporeg", "barcode", path], capture_output=True, env=env, timeout=60
-    )
+    proc = run_cli_process(["barcode", path])
     assert (proc.returncode, proc.stderr) == (0, b"")
     rc, out, _ = run_main(["barcode", path])
     assert rc == 0 and proc.stdout == out.encode("utf-8")
+
+
+# the address space each out-of-memory case may use: room for the
+# interpreter, numpy and OpenBLAS's buffers, far below the failing arrays
+ADDRESS_SPACE_CAP = 3 * 2**30
+
+
+def cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations only on Linux")
+class TestOutOfMemory:
+    """An allocation beyond the process's address-space limit exits 2 with
+    one line naming the command and the size, not a traceback.  Each case
+    runs in its own process, whose limit alone is capped."""
+
+    @pytest.fixture
+    def big_cloud(self, tmp_path):
+        # 60,000 points: the distance matrix alone needs 26.8 GiB
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(60_000, 3)), delimiter=",", fmt="%.6f")
+        return str(path)
+
+    def assert_out_of_memory(self, proc, command, size):
+        err = proc.stderr.decode("utf-8")
+        assert (proc.returncode, proc.stdout, len(err.splitlines())) == (2, b"", 1), err
+        assert err.startswith(f"error: {command}: out of memory:") and size in err, err
+
+    @pytest.mark.parametrize("argv", [["barcode"], ["entropy", "--select", "features"]], ids=["barcode", "entropy"])
+    def test_cloud_commands(self, big_cloud, argv):
+        proc = run_cli_process([argv[0], big_cloud, *argv[1:]], preexec_fn=cap_address_space)
+        self.assert_out_of_memory(proc, argv[0], "26.8 GiB")
+
+    def test_train(self, tmp_path):
+        # 4 inputs, one hidden layer of 2e8 units, 2 outputs: 1.4e9 parameters
+        cfg = train_config(tmp_path, hidden_dims=[200_000_000])
+        proc = run_cli_process(["train", "--config", cfg, "--out", str(tmp_path / "r")], preexec_fn=cap_address_space)
+        self.assert_out_of_memory(proc, "train", "10.4 GiB")
+
+
+def test_memory_error_without_a_message_exits_2(monkeypatch, two_point_csv, capsys):
+    def exhausted(path):
+        raise MemoryError  # what Python's own allocators raise
+
+    monkeypatch.setattr(cli, "load_cloud_csv", exhausted)
+    assert main(["anisotropy", two_point_csv]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert captured.err == "error: anisotropy: out of memory: allocation failed\n"
+
+
+def openblas_on_x86_64() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return False
+    return "openblas" in blas.lower() and platform.machine() == "x86_64"
+
+
+@pytest.mark.skipif(not openblas_on_x86_64(), reason="OPENBLAS_CORETYPE needs OpenBLAS on x86-64")
+class TestAcrossBlasKernels:
+    """The determinism contract across BLAS kernels, with OpenBLAS's
+    Prescott kernel (SSE3, which runs on any x86-64) against the one it
+    picks for this CPU: barcode and entropy use no BLAS and are
+    byte-identical; training agrees to rounding."""
+
+    PRESCOTT = {"OPENBLAS_CORETYPE": "Prescott"}
+
+    @pytest.fixture(scope="class")
+    def cloud(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("kernels") / "cloud.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(1500, 16)), delimiter=",", fmt="%.17g")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["barcode"], ["entropy", "--select", "features"]], ids=["barcode", "entropy"])
+    def test_cloud_commands_are_byte_identical(self, cloud, argv):
+        default, prescott = (run_cli_process([argv[0], cloud, *argv[1:]], env=env) for env in ({}, self.PRESCOTT))
+        assert default.returncode == prescott.returncode == 0
+        assert default.stdout == prescott.stdout
+
+    def test_train_records_agree_within_rounding(self, tmp_path):
+        cfg = train_config(tmp_path, regime="selected_bars", epochs=10)  # 40 steps
+        runs = []
+        for name, env in (("default", {}), ("prescott", self.PRESCOTT)):
+            proc = run_cli_process(["train", "--config", cfg, "--out", str(tmp_path / name)], env=env)
+            assert proc.returncode == 0, proc.stderr
+            lines = (tmp_path / name / "metrics_seed0.jsonl").read_text(encoding="utf-8").splitlines()
+            runs.append([json.loads(line) for line in lines])
+        default, prescott = runs
+        assert len(default) == len(prescott) == 40
+        for a, b in zip(default, prescott):
+            assert a.keys() == b.keys() and a["val_accuracy"] == b["val_accuracy"]
+            assert all(abs(a[key] - b[key]) <= 1e-12 for key in a), (a, b)
 
 
 class TestTrainCommand:

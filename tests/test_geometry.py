@@ -335,25 +335,20 @@ class TestAnisotropy:
 
 
 class TestBothSpectra:
-    """One call scores the raw and the centered spectrum; each agrees bit for
-    bit with a single-spectrum eigensolve, and the other variant is None
-    exactly where that solve finds no singular value above noise."""
+    """The raw and the centered scores each agree bit for bit with a
+    single-spectrum eigensolve, and a call raises exactly where that solve
+    finds no singular value above noise."""
 
     @staticmethod
     def check(m, k_max):
         for centered in (False, True):
             want = single_spectrum_scores(m, k_max, centered)
-            want_other = single_spectrum_scores(m, k_max, not centered)
             if want is None:
                 with pytest.raises(ValueError, match="no singular value"):
                     anisotropy_profile(m, k_max=k_max, centered=centered)
                 continue
             profile = anisotropy_profile(m, k_max=k_max, centered=centered)
             assert profile.scores.tobytes() == want.tobytes()
-            if want_other is None:
-                assert profile.other_scores is None
-            else:
-                assert profile.other_scores.tobytes() == want_other.tobytes()
 
     @pytest.mark.parametrize(
         "shape,kind",
@@ -377,7 +372,7 @@ class TestBothSpectra:
 
     def test_collapsed_rows_have_no_centered_scores(self):
         m = np.tile([0.5, -2.0, 3.0], (8, 1))
-        assert anisotropy_profile(m).other_scores is None
+        assert anisotropy_profile(m).scores.tolist() == [1.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="no singular value"):
             anisotropy_profile(m, centered=True)
 

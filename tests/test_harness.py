@@ -412,3 +412,5 @@ class TestSummarize:
             summarize([self.make_run(0, [1.0] * 5)])
         with pytest.raises(ValueError):
             summarize([])
+        with pytest.raises(ValueError):
+            summarize([self.make_run(0, []), self.make_run(1, [1.0] * 20)])
