@@ -20,6 +20,11 @@ range, 5 training diverged (a non-finite loss or parameter).  An
 allocation the OS grants but later cannot back may still get the process
 killed without a message.
 
+``train`` writes ``metrics_seed<N>.jsonl`` per seed and ``summary.json``
+into ``--out``.  Once the config parses, and before its first seed, it
+removes ``summary.json`` and the config's ``metrics_seed<N>.jsonl`` there,
+so a run that stops with exit 2 or 5 leaves only what it wrote.
+
 A command returns EXIT_OK or raises; ``main`` alone turns the exception
 into its exit code and one ``error:`` line on stderr.  Unreadable files
 (OSError), malformed CSVs (CloudParseError), invalid configs (ConfigError)
@@ -32,6 +37,7 @@ Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -123,8 +129,6 @@ def cmd_anisotropy(args) -> int:
 
 
 def cmd_train(args) -> int:
-    import json
-
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
@@ -140,21 +144,25 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's outputs would not describe this one, however it ends
+    summary_path = out_dir / "summary.json"
+    metrics_paths = [out_dir / f"metrics_seed{seed}.jsonl" for seed in cfg.seeds]
+    for path in (summary_path, *metrics_paths):
+        path.unlink(missing_ok=True)
 
     runs = []
-    for seed in cfg.seeds:
+    for seed, metrics_path in zip(cfg.seeds, metrics_paths):
         run = run_seed(run_cfg, seed)
         lines = list(run.records)
         if run.diverged:
             lines.append({"step": run.divergence_step, "diverged": True})
-        write_jsonl(lines, out_dir / f"metrics_seed{seed}.jsonl")
+        write_jsonl(lines, metrics_path)
         runs.append(run)
         if _verbose():
             status = "diverged" if run.diverged else "ok"
             print(f"seed {seed}: {len(run.records)} steps ({status})", file=sys.stderr)
 
     healthy = [r for r in runs if not r.diverged and len(r.records) >= 10]
-    summary_path = out_dir / "summary.json"
     if healthy:
         summary = {
             "config": asdict(cfg),
@@ -162,8 +170,6 @@ def cmd_train(args) -> int:
             "metrics": summarize(healthy),
         }
         summary_path.write_text(dump_json(summary, indent=2) + "\n", encoding="utf-8")
-    else:  # an earlier run's summary would not describe these metrics
-        summary_path.unlink(missing_ok=True)
 
     if any(r.diverged for r in runs):
         raise _CommandError(EXIT_DIVERGED, "at least one seed diverged; partial outputs retained")

@@ -44,8 +44,8 @@ SUMMARY_TAIL_FRACTION = 0.3
 
 ANISOTROPY_KS = (1, 2, 3)
 _ANISOTROPY_K_MAX = max(ANISOTROPY_KS)
-# per k, in record order: the raw and the centered score's keys, and k - 1
-_ANISOTROPY_FIELDS = tuple((f"anisotropy_raw_{k}", f"anisotropy_centered_{k}", k - 1) for k in ANISOTROPY_KS)
+# record keys of the scores, in order: the raw, then the centered one, for each k
+_SCORE_KEYS = [f"anisotropy_{variant}_{k}" for k in ANISOTROPY_KS for variant in ("raw", "centered")]
 
 # substreams for per-seed generators, so data/init/batch-order draws stay
 # independent of each other
@@ -236,24 +236,16 @@ def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
     stacked eigensolve.
 
     A score is 0.0 past the rank bound, and every score of a variant is 0.0
-    where anisotropy_profile finds no singular value above rounding noise
-    in it: representations all zero (raw, which raises, and centered), or
-    all equal (centered, which comes back as None).  Representations that
-    are not finite, where it raises, score 0.0 too."""
+    where anisotropy_profile raises for it: representations all zero (raw
+    and centered), all equal (centered), or not finite."""
     logits, reps = forward(mlp, val_x)[:2]  # frees the other layers' activations
     hits = np.count_nonzero(logits.argmax(axis=-1) == val_y, axis=-1).tolist()
-    scores, _ = _anisotropy_scores(reps[:, :EVAL_BATCH_SIZE])
+    scores, _ = _anisotropy_scores(reps[:, :EVAL_BATCH_SIZE])  # (S, 2, k): raw, centered
     k_max = min(_ANISOTROPY_K_MAX, scores.shape[-1])
-    padded = np.zeros((*scores.shape[:2], _ANISOTROPY_K_MAX))
-    padded[..., :k_max] = scores[..., :k_max]
-    records = []
-    for n_hits, (raw, centered) in zip(hits, padded.tolist()):
-        rec = {"val_accuracy": n_hits / val_y.size}
-        for raw_key, centered_key, i in _ANISOTROPY_FIELDS:
-            rec[raw_key] = raw[i]
-            rec[centered_key] = centered[i]
-        records.append(rec)
-    return records
+    padded = np.zeros((len(hits), _ANISOTROPY_K_MAX, 2))
+    padded[:, :k_max] = scores[..., :k_max].transpose(0, 2, 1)
+    rows = padded.reshape(len(hits), -1).tolist()  # in _SCORE_KEYS order
+    return [{"val_accuracy": n_hits / val_y.size, **dict(zip(_SCORE_KEYS, row))} for n_hits, row in zip(hits, rows)]
 
 
 # overflow leaves inf or nan in the blobs, the loss or a parameter, which

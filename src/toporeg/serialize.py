@@ -24,6 +24,11 @@ def dump_json(obj, indent: int = 0) -> str:
 
 def _dump(obj, indent: int, newline: str) -> str:
     # newline: what starts a line at the current level ("" on one line)
+    kind = type(obj)  # exact types first: bool and float subclasses take the chain below
+    if kind is float and math.isfinite(obj):
+        return format(obj, ".17g")
+    if kind is int:
+        return str(obj)  # json.dumps per int would triple the time of long index lists
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"refusing to serialize non-finite float {obj!r}")
@@ -35,35 +40,19 @@ def _dump(obj, indent: int, newline: str) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, int):
-        return str(obj)  # json.dumps per int would triple the time of long index lists
+        return str(obj)
     if not isinstance(obj, (dict, list)):
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
     inner = newline + " " * indent
     sep = "," + inner if indent else ", "
     if isinstance(obj, list):
-        body = sep.join(_items(obj, indent, inner))
+        body = sep.join([_dump(item, indent, inner) for item in obj])
         return "[" + inner + body + newline + "]" if obj else "[]"
     for key in obj:
         if not isinstance(key, str):
             raise TypeError(f"JSON object keys must be strings, got {key!r}")
-    items = _items(obj.values(), indent, inner)
-    body = sep.join([f"{encode_basestring(key)}: {item}" for key, item in zip(obj, items)])
+    body = sep.join([f"{encode_basestring(key)}: {_dump(value, indent, inner)}" for key, value in obj.items()])
     return "{" + inner + body + newline + "}" if obj else "{}"
-
-
-def _items(values, indent: int, inner: str) -> list[str]:
-    """The text of each value: finite floats and ints formatted here, the
-    rest, containers included, by _dump."""
-    out = []
-    for value in values:
-        kind = type(value)  # exact types: bool and float subclasses go to _dump
-        if kind is float and math.isfinite(value):
-            out.append(format(value, ".17g"))
-        elif kind is int:
-            out.append(str(value))
-        else:
-            out.append(_dump(value, indent, inner))
-    return out
 
 
 def write_jsonl(records, path) -> None:

@@ -529,6 +529,23 @@ class TestTrainCommand:
         assert not (out / "summary.json").exists()
         assert (out / "metrics_seed0.jsonl").exists()
 
+    def test_run_stopping_before_its_seeds_removes_stale_outputs(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["train", "--config", train_config(tmp_path, seeds=[0, 1], epochs=5), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["metrics_seed0.jsonl", "metrics_seed1.jsonl", "summary.json"]
+        # a config that does not parse leaves the directory as it was
+        assert main(["train", "--config", train_config(tmp_path, epochs=0), "--out", str(out)]) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        rows = ["x0,x1,label"] + [f"{i},{-i},0" for i in range(40)]
+        data = write_csv(tmp_path / "one_class.csv", "\n".join(rows) + "\n")
+        cfg = train_config(tmp_path, data={"csv": data}, seeds=[0])
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert "2 classes" in capsys.readouterr().err
+        # seed 1 is not in this config, so its file is not this run's to remove
+        assert sorted(path.name for path in out.iterdir()) == ["metrics_seed1.jsonl"]
+        assert (out / "metrics_seed1.jsonl").read_bytes() == before["metrics_seed1.jsonl"]
+
     def test_verbose_prints_one_line_per_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOPOREG_VERBOSE", "1")
         cfg = train_config(tmp_path, seeds=[2, 0])
