@@ -24,23 +24,18 @@ def dump_json(obj, indent: int = 0) -> str:
 
 def _dump(obj, indent: int, newline: str) -> str:
     # newline: what starts a line at the current level ("" on one line)
-    kind = type(obj)  # exact types first: bool and float subclasses take the chain below
-    if kind is float and math.isfinite(obj):
-        return format(obj, ".17g")
-    if kind is int:
-        return str(obj)  # json.dumps per int would triple the time of long index lists
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"refusing to serialize non-finite float {obj!r}")
         return format(obj, ".17g")
-    if isinstance(obj, str):
-        return encode_basestring(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)  # json.dumps per int would triple the time of long index lists
+    if isinstance(obj, str):
+        return encode_basestring(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, int):
-        return str(obj)
     if not isinstance(obj, (dict, list)):
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
     inner = newline + " " * indent

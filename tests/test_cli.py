@@ -515,36 +515,36 @@ class TestTrainCommand:
         assert json.loads(lines[-1]) == {"step": 5, "diverged": True}
 
     @pytest.mark.parametrize(
-        "overrides,code",
-        [(dict(base_lr=1e300), 5), (dict(epochs=1), 0)],
-        ids=["diverged", "fewer_than_10_steps"],
+        "overrides,code,left",
+        [
+            (dict(base_lr=1e300), 5, ["metrics_seed0.jsonl", "metrics_seed1.jsonl"]),
+            (dict(epochs=1), 0, ["metrics_seed0.jsonl", "metrics_seed1.jsonl"]),
+            (dict(data="one_class"), 2, ["metrics_seed1.jsonl"]),
+        ],
+        ids=["diverged", "fewer_than_10_steps", "one_class_csv"],
     )
-    def test_run_without_a_summary_removes_a_stale_one(self, tmp_path, overrides, code):
+    def test_run_without_a_summary_removes_a_stale_one(self, tmp_path, overrides, code, left):
         out = tmp_path / "runs"
-        assert main(["train", "--config", train_config(tmp_path), "--out", str(out)]) == 0
+        assert main(["train", "--config", train_config(tmp_path, seeds=[0, 1]), "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+        seed1 = (out / "metrics_seed1.jsonl").read_bytes()
+        if overrides.get("data") == "one_class":  # stops with exit 2 before its seed runs
+            rows = ["x0,x1,label"] + [f"{i},{-i},0" for i in range(40)]
+            overrides = dict(data={"csv": write_csv(tmp_path / "one_class.csv", "\n".join(rows) + "\n")})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["train", "--config", train_config(tmp_path, **overrides), "--out", str(out)]) == code
-        assert not (out / "summary.json").exists()
-        assert (out / "metrics_seed0.jsonl").exists()
+        assert sorted(path.name for path in out.iterdir()) == left
+        # seed 1 is not in the second config, so its file is not that run's to remove
+        assert (out / "metrics_seed1.jsonl").read_bytes() == seed1
 
-    def test_run_stopping_before_its_seeds_removes_stale_outputs(self, tmp_path, capsys):
+    def test_config_that_does_not_parse_leaves_outputs_alone(self, tmp_path):
         out = tmp_path / "runs"
-        assert main(["train", "--config", train_config(tmp_path, seeds=[0, 1], epochs=5), "--out", str(out)]) == 0
+        assert main(["train", "--config", train_config(tmp_path), "--out", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert sorted(before) == ["metrics_seed0.jsonl", "metrics_seed1.jsonl", "summary.json"]
-        # a config that does not parse leaves the directory as it was
+        assert "summary.json" in before
         assert main(["train", "--config", train_config(tmp_path, epochs=0), "--out", str(out)]) == 2
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-        rows = ["x0,x1,label"] + [f"{i},{-i},0" for i in range(40)]
-        data = write_csv(tmp_path / "one_class.csv", "\n".join(rows) + "\n")
-        cfg = train_config(tmp_path, data={"csv": data}, seeds=[0])
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
-        assert "2 classes" in capsys.readouterr().err
-        # seed 1 is not in this config, so its file is not this run's to remove
-        assert sorted(path.name for path in out.iterdir()) == ["metrics_seed1.jsonl"]
-        assert (out / "metrics_seed1.jsonl").read_bytes() == before["metrics_seed1.jsonl"]
 
     def test_verbose_prints_one_line_per_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOPOREG_VERBOSE", "1")
