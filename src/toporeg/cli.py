@@ -15,10 +15,11 @@ Exit codes: 0 ok, 2 unparseable input or config (including coordinates so
 large that their distances overflow to inf, training data with a single
 class, a training output directory or file that cannot be created or
 written, and input too large for the memory the process may allocate),
-3 too few points (or too few distinct points for an entropy), 4 k out of
-range, 5 training diverged (a non-finite loss or parameter).  An
-allocation the OS grants but later cannot back may still get the process
-killed without a message.
+3 too few points (or too few distinct points for an entropy, and for an
+anisotropy every point at the origin, or with --centered every point
+equal), 4 k out of range, 5 training diverged (a non-finite loss or
+parameter).  An allocation the OS grants but later cannot back may still
+get the process killed without a message.
 
 ``train`` writes ``metrics_seed<N>.jsonl`` per seed and ``summary.json``
 into ``--out``.  Once the config parses, and before its first seed, it
@@ -48,7 +49,7 @@ import numpy as np
 from .cloudfile import CloudParseError, load_cloud_csv
 from .entropy import persistent_entropy, select_features
 from .geometry import anisotropy_profile, pairwise_distances
-from .harness import ConfigError, ExperimentConfig, run_seed, summarize
+from .harness import SUMMARY_MIN_RECORDS, ConfigError, ExperimentConfig, run_seed, summarize
 from .persistence import Barcode, vr_barcode_0d
 from .serialize import dump_json, write_jsonl
 
@@ -119,11 +120,11 @@ def cmd_anisotropy(args) -> int:
     points = load_cloud_csv(args.input).points
     if args.k < 1 or args.k > min(points.shape):
         raise _CommandError(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
-    try:
+    try:  # the cloud is finite, so only one without a spectrum raises
         profile = anisotropy_profile(points, k_max=args.k, centered=args.centered)
     except ValueError as exc:
-        raise _CommandError(EXIT_PARSE, str(exc)) from None
-    payload = {str(k): profile.score(k) for k in range(1, args.k + 1)}
+        raise _CommandError(EXIT_TOO_FEW_POINTS, str(exc)) from None
+    payload = {str(k): score for k, score in enumerate(profile.scores.tolist(), 1)}
     print(dump_json(payload))
     return EXIT_OK
 
@@ -155,14 +156,14 @@ def cmd_train(args) -> int:
         run = run_seed(run_cfg, seed)
         lines = list(run.records)
         if run.diverged:
-            lines.append({"step": run.divergence_step, "diverged": True})
+            lines.append({"step": len(run.records) + 1, "diverged": True})
         write_jsonl(lines, metrics_path)
         runs.append(run)
         if _verbose():
             status = "diverged" if run.diverged else "ok"
             print(f"seed {seed}: {len(run.records)} steps ({status})", file=sys.stderr)
 
-    healthy = [r for r in runs if not r.diverged and len(r.records) >= 10]
+    healthy = [r for r in runs if not r.diverged and len(r.records) >= SUMMARY_MIN_RECORDS]
     if healthy:
         summary = {
             "config": asdict(cfg),

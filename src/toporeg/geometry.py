@@ -68,9 +68,6 @@ class AnisotropyProfile:
 
     scores: np.ndarray
 
-    def score(self, k: int) -> float:
-        return float(self.scores[k - 1])
-
 
 def _range_exponent(peak: float) -> int:
     """The range rule: e with peak = f * 2**e, f in [0.5, 1), if |e| > _DIRECT_EXPONENT, else 0."""

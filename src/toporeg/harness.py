@@ -41,6 +41,8 @@ EVAL_BATCH_SIZE = 64
 # steps whose parameters are evaluated together, in one stacked pass
 EVAL_CHUNK = 32
 SUMMARY_TAIL_FRACTION = 0.3
+# fewest records a run needs to enter a summary
+SUMMARY_MIN_RECORDS = 10
 
 ANISOTROPY_KS = (1, 2, 3)
 _ANISOTROPY_K_MAX = max(ANISOTROPY_KS)
@@ -171,12 +173,12 @@ class ExperimentConfig:
 
 @dataclass
 class RunMetrics:
-    """Per-step records for one seed; records are dicts of scalar metrics."""
+    """Per-step records for one seed, dicts of scalar metrics; a diverged
+    run stopped at step ``len(records) + 1``."""
 
     seed: int
     records: list[dict]
     diverged: bool = False
-    divergence_step: int | None = None
 
 
 def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread: float):
@@ -307,9 +309,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
             pending = 0
     if pending:
         flush()
-    diverged = len(records) < total_steps
-    divergence_step = len(records) + 1 if diverged else None
-    return RunMetrics(seed=seed, records=records, diverged=diverged, divergence_step=divergence_step)
+    return RunMetrics(seed=seed, records=records, diverged=len(records) < total_steps)
 
 
 def tail_mean(records: list[dict], metric: str) -> float:
@@ -322,8 +322,8 @@ def tail_mean(records: list[dict], metric: str) -> float:
 
 def summarize(runs: list[RunMetrics]) -> dict:
     """Per-metric mean and population std over seeds of last-30% averages."""
-    if not runs or any(len(r.records) < 10 for r in runs):
-        raise ValueError("summarize needs at least one run with >= 10 records each")
+    if not runs or any(len(r.records) < SUMMARY_MIN_RECORDS for r in runs):
+        raise ValueError(f"summarize needs at least one run with >= {SUMMARY_MIN_RECORDS} records each")
     metrics = [key for key in runs[0].records[0] if key != "step"]
     out: dict = {}
     for metric in metrics:

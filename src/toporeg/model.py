@@ -1,12 +1,12 @@
 """Small feedforward classifier trained with a combined objective.
 
-The network is a stack of linear layers with tanh on hidden layers and
-identity on the output.  The last hidden layer is the representation layer:
-its activations form the point cloud fed to the entropy regularizer.  All
-weights and biases live in one flat float64 buffer (``MLP.params``), and the
-gradient comes back as one flat array with the same layout, so the
-optimizer is a handful of element-wise operations on one vector.  The
-training objective is
+The network is a stack of linear layers with tanh on hidden layers, of
+which there is at least one, and identity on the output.  The last hidden
+layer is the representation layer: its activations form the point cloud fed
+to the entropy regularizer.  All weights and biases live in one flat float64
+buffer (``MLP.params``), and the gradient comes back as one flat array with
+the same layout, so the optimizer is a handful of element-wise operations on
+one vector.  The training objective is
 
     total = cross_entropy - lambda * sum_over_classes(entropy_loss)
 
@@ -57,10 +57,11 @@ class MLP:
 
     ``params`` holds every weight and bias, laid out w0, b0, w1, b1, ...;
     ``weights[l]`` (fan_in x fan_out) and ``biases[l]`` are views into it, so
-    an in-place update of ``params`` updates the layers.  The last hidden
-    layer's activations act as the representation cloud.  ``params`` may
-    also be an S x P stack of such vectors, S networks of one shape that
-    ``forward`` runs together; training takes a single vector.
+    an in-place update of ``params`` updates the layers.  ``dims`` lists at
+    least one hidden size, and the last hidden layer's activations act as
+    the representation cloud.  ``params`` may also be an S x P stack of such
+    vectors, S networks of one shape that ``forward`` runs together;
+    training takes a single vector.
     """
 
     dims: list[int]
@@ -69,8 +70,8 @@ class MLP:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.dims) < 2:
-            raise ValueError("dims must list at least input and output sizes")
+        if len(self.dims) < 3:
+            raise ValueError("dims must list input, at least one hidden and output sizes")
         size = _param_count(self.dims)
         if np.shape(self.params)[-1:] != (size,):
             raise ValueError(
@@ -108,8 +109,7 @@ def forward(mlp: MLP, batch: np.ndarray):
         z += b[..., None, :]
         h = z if l == last else np.tanh(z, out=z)
         activations.append(h)
-    # the last hidden layer, or the output where there is none
-    return activations[-1], activations[max(last, 1)], activations
+    return activations[-1], activations[last], activations
 
 
 @dataclass
@@ -157,8 +157,6 @@ def backward_combined(
     ent = 0.0
     ent_grad = None
     if mode is not None:
-        if len(mlp.weights) < 2:
-            raise ValueError("entropy regularization requires a hidden representation layer")
         reg = per_class_entropy_loss(reps, labels, mode)
         ent, ent_grad = reg.value, reg.grad
 

@@ -33,8 +33,9 @@ Kruskal accepts them.
 
 A ``Barcode`` stores the bars as three parallel arrays in that order: the
 lengths, and the endpoints ``a`` and ``b`` of each edge with a < b.  Callers
-slice and index these arrays; ``Barcode.bars`` builds ``Bar`` objects from
-them on demand.
+slice and index these arrays.  ``Bar``, ``Barcode.bars`` (which builds
+``Bar`` objects on demand) and ``Barcode.n_points`` stay only because the
+benchmark's tracer, ``perfbench/tracing.py``, reads them.
 """
 
 from __future__ import annotations
@@ -65,16 +66,10 @@ class Barcode:
     bars, so ``n_points`` is the bar count plus one.
     """
 
-    def __init__(self, lengths, a, b):
-        self._lengths = np.array(lengths, dtype=np.float64)
-        self.a = np.array(a, dtype=np.intp)
-        self.b = np.array(b, dtype=np.intp)
-        if not (self._lengths.ndim == 1 and self._lengths.shape == self.a.shape == self.b.shape):
-            raise ValueError(
-                "barcode needs 1-D length and endpoint arrays of one size, got shapes "
-                f"{self._lengths.shape}, {self.a.shape} and {self.b.shape}"
-            )
-        for arr in (self._lengths, self.a, self.b):
+    def __init__(self, lengths: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """Adopts the arrays, which ``vr_barcode_0d`` builds, and marks them read-only."""
+        self._lengths, self.a, self.b = lengths, a, b
+        for arr in (lengths, a, b):
             arr.flags.writeable = False
 
     @property

@@ -84,7 +84,7 @@ def test_criterion_2_barcode_cardinality():
             rng = np.random.default_rng(n)
             cloud = rng.normal(size=(n, int(rng.integers(1, 6))))
             barcode = vr_barcode_0d(pairwise_distances(cloud))
-            assert len(barcode.bars) == n - 1
+            assert barcode.lengths().size == n - 1
 
 
 def test_criterion_3_single_linkage_equivalence():

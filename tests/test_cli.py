@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import toporeg.cli as cli
 from toporeg.cli import main
+from toporeg.geometry import anisotropy_profile
 from toporeg.harness import RunMetrics
 
 
@@ -239,6 +240,33 @@ class TestAnisotropyCommand:
         out = capsys.readouterr().out
         value = json.loads(out)["1"]
         assert f"{value:.17g}" in out
+
+    @pytest.mark.parametrize(
+        "text,flags",
+        [
+            ("0,0,0\n0,0,0\n0,0,0\n", []),
+            ("1.5,-2,0.25\n" * 4, ["--centered"]),
+            ("1.5,-2,0.25\n", ["--centered"]),
+        ],
+        ids=["all_zero_raw", "all_equal_centered", "single_row_centered"],
+    )
+    def test_cloud_without_a_spectrum_exits_3(self, tmp_path, capsys, text, flags):
+        path = write_csv(tmp_path / "flat.csv", text)
+        assert main(["anisotropy", path, "--k", "1", *flags]) == 3
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "no singular value above rounding noise" in captured.err
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_payload_is_the_profile_bitwise(self, tmp_path, capsys, centered):
+        pts = np.random.default_rng(3).normal(size=(7, 4)) * [1.0, 1e-3, 5.0, 0.5] + 2.0
+        path = write_csv(tmp_path / "p.csv", "\n".join(",".join(f"{float(v)!r}" for v in row) for row in pts) + "\n")
+        for k in range(1, 5):
+            assert main(["anisotropy", path, "--k", str(k), *(["--centered"] if centered else [])]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            want = anisotropy_profile(pts, k_max=k, centered=centered).scores.tolist()
+            assert list(payload) == [str(j) for j in range(1, k + 1)]
+            assert np.array(list(payload.values())).tobytes() == np.array(want).tobytes()
 
 
 def train_config(tmp_path, **overrides):
@@ -507,7 +535,7 @@ class TestTrainCommand:
 
         def fake_run_seed(config, seed):
             records = [{"step": i + 1, "ce": 1.0, "ent": 0.0, "total": 1.0} for i in range(4)]
-            return RunMetrics(seed=seed, records=records, diverged=True, divergence_step=5)
+            return RunMetrics(seed=seed, records=records, diverged=True)
 
         monkeypatch.setattr(cli, "run_seed", fake_run_seed)
         assert main(["train", "--config", cfg, "--out", str(out)]) == 5

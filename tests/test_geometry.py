@@ -220,12 +220,12 @@ class TestAnisotropy:
         # orthogonal matrix: all singular values equal 1
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
         for k in range(1, 5):
-            assert anisotropy_profile(q, k_max=k).score(k) == pytest.approx(0.25, abs=1e-12)
+            assert anisotropy_profile(q, k_max=k).scores[k - 1] == pytest.approx(0.25, abs=1e-12)
 
     def test_diagonal_case(self):
         m = np.diag([3.0, 4.0])
-        assert anisotropy_profile(m, k_max=1).score(1) == pytest.approx(16 / 25, abs=1e-14)
-        assert anisotropy_profile(m, k_max=2).score(2) == pytest.approx(9 / 25, abs=1e-14)
+        assert anisotropy_profile(m, k_max=1).scores[0] == pytest.approx(16 / 25, abs=1e-14)
+        assert anisotropy_profile(m, k_max=2).scores[1] == pytest.approx(9 / 25, abs=1e-14)
         # identical rows have rank one: the Gram matrix's zero eigenvalues
         # come back as rounding noise, whose square roots must still score 0
         rank_one = np.tile([0.3, -1.2, 2.5, 0.7], (16, 1))
@@ -236,14 +236,14 @@ class TestAnisotropy:
         m = rng.normal(size=(64, 16))
         ref_scores = reference_scores(m)
         for k in (1, 5, 16):
-            assert anisotropy_profile(m, k_max=k).score(k) == pytest.approx(ref_scores[k - 1], rel=1e-8)
+            assert anisotropy_profile(m, k_max=k).scores[k - 1] == pytest.approx(ref_scores[k - 1], rel=1e-8)
 
     def test_centered_equals_covariance_eigenvalue_share(self):
         rng = np.random.default_rng(17)
         m = rng.normal(size=(40, 6)) + 3.0
         eigs = np.sort(np.linalg.eigvalsh(np.cov(m, rowvar=False)))[::-1]
         share = eigs / eigs.sum()
-        assert anisotropy_profile(m, k_max=1, centered=True).score(1) == pytest.approx(share[0], rel=1e-8)
+        assert anisotropy_profile(m, k_max=1, centered=True).scores[0] == pytest.approx(share[0], rel=1e-8)
 
     @pytest.mark.parametrize("shape", [(64, 16), (40, 6), (5, 9), (33, 3)])
     def test_centered_equals_explicitly_centered_bitwise(self, shape):
@@ -297,9 +297,9 @@ class TestAnisotropy:
         m = rng.normal(size=(n, dim))
         c = float(rng.uniform(0.01, 100.0)) * (-1 if seed % 2 else 1)
         k = int(rng.integers(1, min(n, dim) + 1))
-        base = anisotropy_profile(m, k_max=k).score(k)
-        assert anisotropy_profile(c * m, k_max=k).score(k) == pytest.approx(base, abs=1e-9)
-        assert anisotropy_profile(m[rng.permutation(n)], k_max=k).score(k) == pytest.approx(base, abs=1e-9)
+        base = anisotropy_profile(m, k_max=k).scores[k - 1]
+        assert anisotropy_profile(c * m, k_max=k).scores[k - 1] == pytest.approx(base, abs=1e-9)
+        assert anisotropy_profile(m[rng.permutation(n)], k_max=k).scores[k - 1] == pytest.approx(base, abs=1e-9)
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000), centered=st.booleans())
     @example(seed=0, k=-1000, centered=False)

@@ -37,13 +37,6 @@ class TestForward:
         output_bias_grad = MLP(mlp.dims, grad).biases[-1]
         np.testing.assert_allclose(output_bias_grad, (0.5 - onehot).mean(axis=0), atol=1e-15)
 
-    def test_identity_single_layer(self):
-        mlp = MLP.init([4, 4], np.random.default_rng(0))
-        mlp.weights[0][...] = np.eye(4)
-        batch = np.random.default_rng(2).normal(size=(5, 4))
-        logits, _, _ = forward(mlp, batch)
-        np.testing.assert_array_equal(logits, batch)
-
     def test_matches_scalar_loop_oracle(self):
         mlp = small_mlp(seed=3)
         batch = np.random.default_rng(4).normal(size=(7, 3))
@@ -76,7 +69,7 @@ class TestForward:
         stacked.weights[1][3, 2, 1] = 7.0
         assert stacked.params[3, 3 * 4 + 4 + 2 * 2 + 1] == 7.0  # views, row by row
 
-    @pytest.mark.parametrize("dims", [(3, 5, 4, 2), (4, 8, 2), (4, 4), (3, 1, 2), (2, 16, 3)])
+    @pytest.mark.parametrize("dims", [(3, 5, 4, 2), (4, 8, 2), (3, 1, 2), (2, 16, 3)])
     def test_stacked_forward_slices_equal_single_forward_bitwise(self, dims):
         dims = list(dims)
         rng = np.random.default_rng(21)
@@ -210,11 +203,9 @@ class TestBackwardCombined:
         with pytest.raises(ValueError, match="one parameter vector"):
             backward_combined(stacked, np.ones((5, 3)), np.zeros(5, dtype=int), mode=None)
 
-    def test_entropy_requires_hidden_layer(self):
-        mlp = MLP.init([3, 3], np.random.default_rng(0))
-        mlp.weights[0][...] = np.eye(3)
-        with pytest.raises(ValueError):
-            backward_combined(mlp, np.zeros((4, 3)), np.zeros(4, dtype=int), SelectionMode.ALL_BARS)
+    def test_mlp_without_hidden_layer_raises(self):
+        with pytest.raises(ValueError, match="at least one hidden"):
+            MLP.init([3, 3], np.random.default_rng(0))
 
 
 class TestWarmupSchedule:

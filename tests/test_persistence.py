@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toporeg.geometry import pairwise_distances
-from toporeg.persistence import Bar, Barcode, vr_barcode_0d
+from toporeg.persistence import Bar, vr_barcode_0d
 
 from oracles import all_spanning_trees, kruskal_bars, prim_mst_weight, single_linkage_heights
 
@@ -139,12 +139,6 @@ class TestBarcode:
         bc = vr_barcode_0d(d)
         assert bar_triples(bc) == [(0.0, 0, 1), (0.0, 0, 2), (0.0, 0, 3)]
         assert np.signbit(bc.lengths()).all()
-
-    def test_barcode_validates_bar_count(self):
-        with pytest.raises(ValueError):
-            Barcode([1.0, 2.0], [0, 1], [1])
-        with pytest.raises(ValueError):
-            Barcode([1.0], [0, 1], [1, 2])
 
     def test_barcode_arrays_are_read_only_and_bars_match_them(self):
         bc = vr_barcode_0d(pairwise_distances(np.array([[0.0], [1.0], [3.0]])))
