@@ -14,12 +14,12 @@ BLAS kernel, and may move in the last digits under another kernel.
 Exit codes: 0 ok, 2 unparseable input or config (including coordinates so
 large that their distances overflow to inf, training data with a single
 class, a training output directory or file that cannot be created or
-written, and input too large for the memory the process may allocate),
-3 too few points (or too few distinct points for an entropy, and for an
-anisotropy every point at the origin, or with --centered every point
-equal), 4 k out of range, 5 training diverged (a non-finite loss or
-parameter).  An allocation the OS grants but later cannot back may still
-get the process killed without a message.
+written, a config with arrays past numpy's size limit, and input too large
+for the memory the process may allocate), 3 too few points (or too few
+distinct points for an entropy, and for an anisotropy every point at the
+origin, or with --centered every point equal), 4 k out of range, 5 training
+diverged (a non-finite loss or parameter).  An allocation the OS grants but
+later cannot back may still get the process killed without a message.
 
 ``train`` writes ``metrics_seed<N>.jsonl`` per seed and ``summary.json``
 into ``--out``.  Once the config parses, and before its first seed, it
@@ -140,8 +140,8 @@ def cmd_train(args) -> int:
     # a relative data.csv names a file beside the config, wherever train runs;
     # the summary keeps the path as the config wrote it
     run_cfg = cfg
-    if isinstance(cfg.data, str):
-        run_cfg = replace(cfg, data=str(Path(args.config).parent / cfg.data))
+    if isinstance(cfg.data, dict):
+        run_cfg = replace(cfg, data={"csv": str(Path(args.config).parent / cfg.data["csv"])})
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -136,13 +136,12 @@ def pairwise_distances(x) -> np.ndarray:
     return d
 
 
-def _anisotropy_scores(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _anisotropy_scores(m: np.ndarray) -> np.ndarray:
     """Scores over the full spectrum of every matrix of an S x N x D stack,
-    ``scores[s, 0]`` raw and ``scores[s, 1]`` centered, and ``totals[s, v]``,
-    the sum of squares they divide.  A total of 0 marks a variant with no
-    singular value above rounding noise and NaN a matrix with a NaN or Inf
-    entry; their scores are all 0.  Each matrix's scores are bitwise those
-    it gets alone, as a stack of one."""
+    ``scores[s, 0]`` raw and ``scores[s, 1]`` centered.  A variant with no
+    singular value above rounding noise, or of a matrix with a NaN or Inf
+    entry, scores all 0; any other's first score is at least 1 / min(N, D).
+    Each matrix's scores are bitwise those it gets alone, as a stack of one."""
     n, dim = m.shape[1:]
     # max|m| = peak * 2**exponent, peak NaN or inf where an entry is
     peak, exponent = np.frexp(np.maximum.reduce(np.abs(m), axis=(1, 2)))
@@ -174,8 +173,7 @@ def _anisotropy_scores(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma *= sigma > noise[..., None]  # zeroes the noise; sigma is finite and >= 0
     squares = sigma * sigma
     totals = np.add.reduce(squares, axis=-1)
-    totals[~finite] = np.nan
-    return squares / np.where(totals > 0.0, totals, 1.0)[..., None], totals
+    return squares / np.where(totals > 0.0, totals, 1.0)[..., None]
 
 
 def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> AnisotropyProfile:
@@ -185,23 +183,17 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     Works on m rescaled by the power of two that brings max|m| into [0.5, 1),
     which changes no score, in the stacked core, whose values are bitwise
     those of a single-spectrum eigensolve.  Singular values within rounding
-    noise of the input count as zero.  Raises ValueError on NaN or Inf
-    entries and when no singular value of the requested variant is left
-    (every entry zero, or every row equal for ``centered``).
+    noise of the input count as zero.  Raises ValueError unless m is a finite,
+    nonempty 2-D array, and when the requested variant has no singular value
+    left (every entry zero, or every row equal for ``centered``).
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    m, _ = _points(m)
     rank_bound = min(m.shape)
     if k_max is None:
         k_max = rank_bound
     if not 1 <= k_max <= rank_bound:
         raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
-    variant = 1 if centered else 0
-    scores, totals = _anisotropy_scores(m[None])
-    total = float(totals[0, variant])
-    if math.isnan(total):
-        raise ValueError("matrix contains NaN or Inf entries")
-    if not total:
+    scores = _anisotropy_scores(m[None])[0, 1 if centered else 0]
+    if not scores[0]:
         raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")
-    return AnisotropyProfile(scores=scores[0, variant, :k_max])
+    return AnisotropyProfile(scores=scores[:k_max])

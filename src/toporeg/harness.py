@@ -20,13 +20,14 @@ with an identical config and seed produce identical metric streams.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .cloudfile import load_cloud_csv
 from .geometry import _anisotropy_scores
-from .model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
+from .model import MLP, AdamState, WarmupSchedule, _param_count, adam_step, backward_combined, forward
 from .regularizer import SelectionMode
 
 # regime name -> the bars the entropy loss runs on; "none" trains without it
@@ -43,11 +44,12 @@ EVAL_CHUNK = 32
 SUMMARY_TAIL_FRACTION = 0.3
 # fewest records a run needs to enter a summary
 SUMMARY_MIN_RECORDS = 10
+# the most values a float64 array may hold: numpy's limit is np.intp's largest byte count
+_MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
 
-ANISOTROPY_KS = (1, 2, 3)
-_ANISOTROPY_K_MAX = max(ANISOTROPY_KS)
+ANISOTROPY_K = 3
 # record keys of the scores, in order: the raw, then the centered one, for each k
-_SCORE_KEYS = [f"anisotropy_{variant}_{k}" for k in ANISOTROPY_KS for variant in ("raw", "centered")]
+_SCORE_KEYS = [f"anisotropy_{variant}_{k}" for k in range(1, ANISOTROPY_K + 1) for variant in ("raw", "centered")]
 
 # substreams for per-seed generators, so data/init/batch-order draws stay
 # independent of each other
@@ -65,8 +67,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    # an int compares exactly with a float: NaN, inf and ints past float64's range fail
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return real and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _check_fields(raw: dict, cls, prefix: str = "") -> None:
@@ -85,17 +89,23 @@ class BlobSpec:
     spread: float = 3.0
 
     def validate(self):
-        """Raise ConfigError naming the field (as ``data.<field>``) if invalid."""
+        """Raise ConfigError naming the field (as ``data.<field>``) that is invalid or passes numpy's limit."""
+        values = 1
         for name, least in (("n_per_class", 8), ("n_classes", 2), ("dim", 2)):
             value = getattr(self, name)
             if not _is_int(value) or value < least:
                 raise ConfigError(f"data.{name}: must be an integer >= {least}, got {value!r}")
-        if not (_is_real(self.spread) and np.isfinite(self.spread) and self.spread >= 0):
+            values *= int(value)
+            if values > _MAX_ARRAY_VALUES:
+                raise ConfigError(f"data.{name}: blob needs over {_MAX_ARRAY_VALUES} values, got {value!r}")
+        if not (_is_finite_real(self.spread) and self.spread >= 0):
             raise ConfigError(f"data.spread: must be a finite real >= 0, got {self.spread!r}")
 
 
 @dataclass
 class ExperimentConfig:
+    """A training experiment; ``data`` is a BlobSpec or ``{"csv": path}``, as the config file writes it."""
+
     regime: str = "selected_bars"
     base_lr: float = 5e-3
     weight_decay: float = 5e-4
@@ -103,7 +113,7 @@ class ExperimentConfig:
     batch_size: int = 64
     entropy_weight: float = 1.0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    data: BlobSpec | str = field(default_factory=BlobSpec)
+    data: BlobSpec | dict = field(default_factory=BlobSpec)
     hidden_dims: list[int] = field(default_factory=lambda: [32, 16])
 
     def __post_init__(self):
@@ -117,12 +127,12 @@ class ExperimentConfig:
             raise ConfigError(f"epochs: must be an integer >= 1, got {self.epochs!r}")
         if not _is_int(self.batch_size) or self.batch_size < 4:
             raise ConfigError(f"batch_size: must be an integer >= 4, got {self.batch_size!r}")
-        if not (_is_real(self.base_lr) and np.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ConfigError(f"base_lr: must be a positive real, got {self.base_lr!r}")
-        if not (_is_real(self.weight_decay) and np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay: must be a real >= 0, got {self.weight_decay!r}")
-        if not (_is_real(self.entropy_weight) and np.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
-            raise ConfigError(f"entropy_weight: must be a real >= 0, got {self.entropy_weight!r}")
+        if not (_is_finite_real(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr: must be a finite real > 0, got {self.base_lr!r}")
+        if not (_is_finite_real(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay: must be a finite real >= 0, got {self.weight_decay!r}")
+        if not (_is_finite_real(self.entropy_weight) and self.entropy_weight >= 0):
+            raise ConfigError(f"entropy_weight: must be a finite real >= 0, got {self.entropy_weight!r}")
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigError(f"seeds: need a nonempty list of seeds, got {self.seeds!r}")
         if not all(_is_int(s) and s >= 0 for s in self.seeds):
@@ -137,17 +147,22 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_dims: must be a nonempty list of positive integers, got {self.hidden_dims!r}")
         if isinstance(self.data, BlobSpec):
             self.data.validate()
-        elif not isinstance(self.data, str):
-            raise ConfigError(f"data: must be a blob spec or a csv path, got {self.data!r}")
-        else:
-            # open() refuses both; a lone surrogate also could not be written
-            # into summary.json as UTF-8
-            if "\x00" in self.data:
-                raise ConfigError(f"data.csv: path contains a null byte, got {self.data!r}")
-            try:
-                self.data.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ConfigError(f"data.csv: path contains a lone surrogate, got {self.data!r}") from None
+            return
+        if not (isinstance(self.data, dict) and "csv" in self.data):
+            raise ConfigError(f'data: must be a blob spec or {{"csv": path}}, got {self.data!r}')
+        for key in self.data:
+            if key != "csv":
+                raise ConfigError(f"data.{key}: not allowed next to data.csv")
+        path = self.data["csv"]
+        if not isinstance(path, str):
+            raise ConfigError(f"data.csv: must be a file path string, got {path!r}")
+        # open() refuses both, and summary.json cannot hold a lone surrogate as UTF-8
+        if "\x00" in path:
+            raise ConfigError(f"data.csv: path contains a null byte, got {path!r}")
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"data.csv: path contains a lone surrogate, got {path!r}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -156,16 +171,7 @@ class ExperimentConfig:
         _check_fields(raw, cls)
         kwargs = dict(raw)
         data = kwargs.get("data")
-        # validate() rejects data that is neither a blob spec nor a path
-        if isinstance(data, dict) and "csv" in data:
-            for key in data:
-                if key != "csv":
-                    raise ConfigError(f"data.{key}: not allowed next to data.csv")
-            path = data["csv"]
-            if not isinstance(path, str):
-                raise ConfigError(f"data.csv: must be a file path string, got {path!r}")
-            kwargs["data"] = path
-        elif isinstance(data, dict):
+        if isinstance(data, dict) and "csv" not in data:
             _check_fields(data, BlobSpec, "data.")
             kwargs["data"] = BlobSpec(**data)
         return cls(**kwargs)
@@ -206,29 +212,29 @@ def generate_blobs(seed: int, n_per_class: int, n_classes: int, dim: int, spread
     if not np.isfinite(points).all():
         raise ConfigError(f"data.spread: blob coordinates overflow float64 at spread {spread!r}")
     labels = np.repeat(np.arange(n_classes), n_per_class)
-    n_total = n_classes * n_per_class
+    return points, labels, *_split(rng, n_classes * n_per_class)
+
+
+def _split(rng: np.random.Generator, n_total: int):
     perm = rng.permutation(n_total)
     n_train = int(round(TRAIN_FRACTION * n_total))
-    return points, labels, perm[:n_train], perm[n_train:]
+    return perm[:n_train], perm[n_train:]
 
 
 def _load_dataset(cfg: ExperimentConfig, seed: int):
     if isinstance(cfg.data, BlobSpec):
-        spec = cfg.data
-        return generate_blobs(seed, spec.n_per_class, spec.n_classes, spec.dim, spec.spread)
-    loaded = load_cloud_csv(cfg.data)
+        return generate_blobs(seed, **vars(cfg.data))
+    path = cfg.data["csv"]
+    loaded = load_cloud_csv(path)
     if loaded.labels is None:
         raise ConfigError("data: csv file must carry a trailing 'label' column for training")
     # the output layer has one unit per class, so labels become 0..C-1 in
     # ascending order whatever their values
     classes, labels = np.unique(loaded.labels, return_inverse=True)
     if classes.size < 2:
-        raise ConfigError(f"data: {cfg.data}: training needs at least 2 classes, found one label")
-    n_total = loaded.points.shape[0]
+        raise ConfigError(f"data: {path}: training needs at least 2 classes, found one label")
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
-    perm = rng.permutation(n_total)
-    n_train = int(round(TRAIN_FRACTION * n_total))
-    return loaded.points, labels, perm[:n_train], perm[n_train:]
+    return loaded.points, labels, *_split(rng, loaded.points.shape[0])
 
 
 def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
@@ -242,10 +248,9 @@ def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
     and centered), all equal (centered), or not finite."""
     logits, reps = forward(mlp, val_x)[:2]  # frees the other layers' activations
     hits = np.count_nonzero(logits.argmax(axis=-1) == val_y, axis=-1).tolist()
-    scores, _ = _anisotropy_scores(reps[:, :EVAL_BATCH_SIZE])  # (S, 2, k): raw, centered
-    k_max = min(_ANISOTROPY_K_MAX, scores.shape[-1])
-    padded = np.zeros((len(hits), _ANISOTROPY_K_MAX, 2))
-    padded[:, :k_max] = scores[..., :k_max].transpose(0, 2, 1)
+    scores = _anisotropy_scores(reps[:, :EVAL_BATCH_SIZE])[..., :ANISOTROPY_K]  # (S, 2, k): raw, centered
+    padded = np.zeros((len(hits), ANISOTROPY_K, 2))
+    padded[:, : scores.shape[-1]] = scores.transpose(0, 2, 1)
     rows = padded.reshape(len(hits), -1).tolist()  # in _SCORE_KEYS order
     return [{"val_accuracy": n_hits / val_y.size, **dict(zip(_SCORE_KEYS, row))} for n_hits, row in zip(hits, rows)]
 
@@ -262,6 +267,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
 
     n_classes = int(y.max()) + 1
     dims = [x.shape[1], *cfg.hidden_dims, n_classes]
+    if EVAL_CHUNK * _param_count(dims) > _MAX_ARRAY_VALUES:  # the size of the parameter chunk
+        raise ConfigError(f"hidden_dims: {EVAL_CHUNK} network copies pass numpy's array limit, got {cfg.hidden_dims!r}")
     mlp = MLP.init(dims, np.random.default_rng([seed, _STREAM_INIT]))
     state = AdamState.for_params(mlp.params)
 

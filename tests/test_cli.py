@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import toporeg.cli as cli
 from toporeg.cli import main
 from toporeg.geometry import anisotropy_profile
-from toporeg.harness import RunMetrics
+from toporeg.harness import ExperimentConfig, RunMetrics
 
 
 def write_csv(path, text):
@@ -469,6 +469,12 @@ class TestTrainCommand:
             (dict(data={"csv": "\ud800.csv"}), "data.csv"),
             (dict(seeds=[0, 0]), "seeds"),
             (dict(data={"n_per_class": 40, "foo": 1}), "data.foo"),
+            (dict(data="data.csv"), "data"),
+            # numpy would refuse these arrays with a ValueError
+            (dict(data={"dim": 2**62}), "data.dim"),
+            (dict(data={"n_per_class": 2**62}), "data.n_per_class"),
+            (dict(data={"n_classes": 2**62}), "data.n_classes"),
+            (dict(hidden_dims=[2**62]), "hidden_dims"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -615,7 +621,21 @@ class TestTrainCommand:
         monkeypatch.chdir(elsewhere)
         assert main(["train", "--config", cfg, "--out", "runs"]) == 0
         summary = json.loads((elsewhere / "runs" / "summary.json").read_text())
-        assert summary["config"]["data"] == "data.csv"  # as the config wrote it
+        assert summary["config"]["data"] == {"csv": "data.csv"}  # as the config wrote it
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["blob", "csv"])
+    def test_summary_config_reads_back_as_the_config(self, tmp_path, csv):
+        overrides = {}
+        if csv:
+            write_csv(tmp_path / "data.csv", two_class_csv_text())
+            overrides["data"] = {"csv": "data.csv"}
+        cfg = train_config(tmp_path, **overrides)
+        out = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        raw = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+        assert summary["config"]["data"] == raw["data"]
+        assert ExperimentConfig.from_dict(summary["config"]) == ExperimentConfig.from_dict(raw)
 
     def test_bad_training_csv_names_the_file(self, tmp_path, capsys):
         data = write_csv(tmp_path / "data.csv", "x,label\n1,0\n2,one\n")
@@ -678,14 +698,14 @@ CONFIG_FIELDS = {
     "batch_size": ([4, 8], BAD + [2, 4.0]),
     "entropy_weight": ([0.0, 1.0], BAD),
     "seeds": ([[0], [1, 0]], BAD + [[], [-1], [True], [0.5], [0, 0]]),
-    "hidden_dims": ([[4], [4, 3]], BAD + [[], [0], [True], 4]),
+    "hidden_dims": ([[4], [4, 3]], BAD + [[], [0], [True], 4, [2**62]]),
     "data": (
-        [{"csv": FUZZ_DATA}, FUZZ_DATA],
-        BAD + [{"csv": "missing.csv"}, {"csv": "a\x00b.csv"}, {"csv": "\ud800.csv"}],
+        [{"csv": FUZZ_DATA}],
+        BAD + [FUZZ_DATA, {"csv": "missing.csv"}, {"csv": "a\x00b.csv"}, {"csv": "\ud800.csv"}],
     ),
     "data.n_per_class": ([8, 12, 16], BAD + [4, 2.5]),
     "data.n_classes": ([2, 3], BAD + [1]),
-    "data.dim": ([2, 3], BAD + [1]),
+    "data.dim": ([2, 3], BAD + [1, 2**62]),
     "data.spread": ([0.0, 1.0, 3.0], BAD + [-1.0, 1e308, float("nan"), float("inf")]),
 }
 # always given, so that no example falls back to the default run, which is much

@@ -121,7 +121,16 @@ class TestExperimentConfig:
             # unhashable, so a bare dict lookup would raise TypeError
             (dict(regime=[1]), "regime"),
             (dict(regime={"a": 1}), "regime"),
-            (dict(data=5), "data: must be a blob spec or a csv path"),
+            (dict(data=5), 'data: must be a blob spec or {"csv": path}'),
+            # a bare path is not the {"csv": path} object a config writes
+            (dict(data="data.csv"), 'data: must be a blob spec or {"csv": path}'),
+            # rejected as not finite, and an int past float64's range as well
+            (dict(base_lr=np.inf), "base_lr: must be a finite real > 0"),
+            (dict(weight_decay=np.inf), "weight_decay: must be a finite real >= 0"),
+            (dict(entropy_weight=np.inf), "entropy_weight: must be a finite real >= 0"),
+            (dict(base_lr=10**400), "base_lr: must be a finite real > 0"),
+            (dict(entropy_weight=10**400), "entropy_weight: must be a finite real >= 0"),
+            (dict(data=BlobSpec(spread=10**400)), "data.spread: must be a finite real >= 0"),
         ],
     )
     def test_validation_names_the_field(self, kw, field):
@@ -145,7 +154,7 @@ class TestExperimentConfig:
         # built directly, without from_dict, the path never reaches open()
         want = f"data.csv: path contains {problem}, got {path!r}"
         with pytest.raises(ConfigError) as direct:
-            run_seed(ExperimentConfig(data=path, epochs=1, seeds=[0]), 0)
+            run_seed(ExperimentConfig(data={"csv": path}, epochs=1, seeds=[0]), 0)
         assert str(direct.value) == want
         with pytest.raises(ConfigError) as parsed:
             ExperimentConfig.from_dict({"epochs": 1, "seeds": [0], "data": {"csv": path}})
