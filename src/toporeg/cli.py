@@ -5,6 +5,9 @@
     toporeg anisotropy cloud.csv --k 3 --centered     # anisotropy scores
     toporeg train      --config cfg.json --out runs/  # experiment sweep
 
+``barcode`` lists the bars longest first; ``entropy --select features``
+gives ``selected`` and ``noise`` as indices into the bars in ascending
+(length, a, b) order, so on the line 0, 1, 3, 7 the length-4 bar is 2.
 Commands are pure functions of their inputs.  ``barcode`` and ``entropy``
 use no BLAS, so the same file and flags give byte-identical output on any
 machine with the same numpy build.  ``train`` and ``anisotropy`` go through
@@ -76,11 +79,11 @@ class _CommandError(Exception):
 
 def _barcode(path) -> Barcode:
     """Barcode of the cloud in a CSV file."""
-    loaded = load_cloud_csv(path)
-    if loaded.points.shape[0] < 2:
+    points, _ = load_cloud_csv(path)
+    if points.shape[0] < 2:
         raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
     try:  # distances beyond float64's range come out inf, which raises here
-        return vr_barcode_0d(pairwise_distances(loaded.points))
+        return vr_barcode_0d(pairwise_distances(points))
     except ValueError as exc:
         raise _CommandError(EXIT_PARSE, f"{path}: pairwise distances overflow float64 ({exc})") from None
 
@@ -117,7 +120,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_anisotropy(args) -> int:
-    points = load_cloud_csv(args.input).points
+    points, _ = load_cloud_csv(args.input)
     if args.k < 1 or args.k > min(points.shape):
         raise _CommandError(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
     try:  # the cloud is finite, so only one without a spectrum raises
@@ -132,7 +135,7 @@ def cmd_anisotropy(args) -> int:
 def cmd_train(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed JSON, text that is not UTF-8, or nesting too deep
         raise _CommandError(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}") from None
     if args.regime and isinstance(raw, dict):
         raw["regime"] = _REGIME_FLAGS[args.regime]

@@ -7,15 +7,15 @@ Every row has as many columns as the header, or as the first row when there
 is no header.  If a header is present and its last column is named
 ``label`` (any case), that column is parsed as nonnegative integer class
 labels; otherwise every column is a coordinate.  Every parse error starts
-with ``<path>: `` and names the earliest bad row; a cell error also names
-the cell by 1-based row and column.
+with ``<path>: `` and names a 1-based row: for a cell past the csv module's
+field size limit, checked before any cell is parsed, the row where reading
+stopped; else the earliest bad row, and for a bad cell also its column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -25,19 +25,12 @@ _LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
 class CloudParseError(Exception):
+    """A malformed cloud file; the message ends with the 1-based row, and the column of a bad cell."""
+
     def __init__(self, message: str, row: int | None = None, column: int | None = None):
-        where = ""
         if row is not None:
-            where = f" (row {row}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + where)
-        self.row = row
-        self.column = column
-
-
-@dataclass
-class LoadedCloud:
-    points: np.ndarray
-    labels: np.ndarray | None
+            message += f" (row {row}" + (f", column {column})" if column is not None else ")")
+        super().__init__(message)
 
 
 def _is_float(token: str) -> bool:
@@ -48,7 +41,10 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def load_cloud_csv(path) -> LoadedCloud:
+def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """(points, labels) of a cloud file: N x D float64 coordinates and N
+    int64 labels, or None without a label column; raises CloudParseError."""
+    rows = []
     try:
         try:
             with open(path, newline="", encoding="utf-8") as fh:
@@ -56,7 +52,8 @@ def load_cloud_csv(path) -> LoadedCloud:
                 # too, at about 0.4 MB more peak RSS on a 650 KB file)
                 if fh.read(1) != "\ufeff":
                     fh.seek(0)
-                rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+                # extend keeps the rows read before one the reader rejects
+                rows.extend(row for row in csv.reader(fh) if any(map(str.strip, row)))
         except UnicodeDecodeError:
             # the stream counts the offset from its failing 8 KB chunk; one
             # decode of the whole file raises again with the file's offset
@@ -67,6 +64,8 @@ def load_cloud_csv(path) -> LoadedCloud:
             raise  # the file changed in between: the chunk's offset is all there is
     except UnicodeDecodeError as exc:
         raise CloudParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:  # a cell past the field size limit, a process-wide setting left alone
+        raise CloudParseError(f"{path}: {exc}", row=len(rows) + 1) from None
     if not rows:
         raise CloudParseError(f"{path}: no data rows")
 
@@ -93,7 +92,7 @@ def load_cloud_csv(path) -> LoadedCloud:
             ).reshape(len(rows), n_coords)
             labels = np.array([int(row[-1].strip()) for row in rows], dtype=np.int64) if has_labels else None
             if np.isfinite(points).all() and (labels is None or (labels >= 0).all()):
-                return LoadedCloud(points=points, labels=labels)
+                return points, labels
     except (ValueError, OverflowError):  # OverflowError: a label beyond int64
         pass
     raise _first_error(path, rows, 2 if header else 1, width, has_labels)

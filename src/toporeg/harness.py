@@ -67,10 +67,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_finite_real(value) -> bool:
+def _check_count(path: str, value, least: int) -> None:
+    if not _is_int(value) or value < least:
+        raise ConfigError(f"{path}: must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(path: str, value, positive: bool = False) -> None:
     # an int compares exactly with a float: NaN, inf and ints past float64's range fail
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    return real and -sys.float_info.max <= value <= sys.float_info.max
+    if not (real and (value > 0 if positive else value >= 0) and value <= sys.float_info.max):
+        raise ConfigError(f"{path}: must be a finite real {'>' if positive else '>='} 0, got {value!r}")
 
 
 def _check_fields(raw: dict, cls, prefix: str = "") -> None:
@@ -93,13 +99,11 @@ class BlobSpec:
         values = 1
         for name, least in (("n_per_class", 8), ("n_classes", 2), ("dim", 2)):
             value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ConfigError(f"data.{name}: must be an integer >= {least}, got {value!r}")
+            _check_count(f"data.{name}", value, least)
             values *= int(value)
             if values > _MAX_ARRAY_VALUES:
                 raise ConfigError(f"data.{name}: blob needs over {_MAX_ARRAY_VALUES} values, got {value!r}")
-        if not (_is_finite_real(self.spread) and self.spread >= 0):
-            raise ConfigError(f"data.spread: must be a finite real >= 0, got {self.spread!r}")
+        _check_real("data.spread", self.spread)
 
 
 @dataclass
@@ -123,16 +127,11 @@ class ExperimentConfig:
         # a dict lookup of an unhashable value raises TypeError
         if not isinstance(self.regime, str) or self.regime not in REGIMES:
             raise ConfigError(f"regime: must be one of {tuple(REGIMES)}, got {self.regime!r}")
-        if not _is_int(self.epochs) or self.epochs < 1:
-            raise ConfigError(f"epochs: must be an integer >= 1, got {self.epochs!r}")
-        if not _is_int(self.batch_size) or self.batch_size < 4:
-            raise ConfigError(f"batch_size: must be an integer >= 4, got {self.batch_size!r}")
-        if not (_is_finite_real(self.base_lr) and self.base_lr > 0):
-            raise ConfigError(f"base_lr: must be a finite real > 0, got {self.base_lr!r}")
-        if not (_is_finite_real(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay: must be a finite real >= 0, got {self.weight_decay!r}")
-        if not (_is_finite_real(self.entropy_weight) and self.entropy_weight >= 0):
-            raise ConfigError(f"entropy_weight: must be a finite real >= 0, got {self.entropy_weight!r}")
+        _check_count("epochs", self.epochs, 1)
+        _check_count("batch_size", self.batch_size, 4)
+        _check_real("base_lr", self.base_lr, positive=True)
+        _check_real("weight_decay", self.weight_decay)
+        _check_real("entropy_weight", self.entropy_weight)
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigError(f"seeds: need a nonempty list of seeds, got {self.seeds!r}")
         if not all(_is_int(s) and s >= 0 for s in self.seeds):
@@ -225,16 +224,16 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     if isinstance(cfg.data, BlobSpec):
         return generate_blobs(seed, **vars(cfg.data))
     path = cfg.data["csv"]
-    loaded = load_cloud_csv(path)
-    if loaded.labels is None:
+    points, labels = load_cloud_csv(path)
+    if labels is None:
         raise ConfigError("data: csv file must carry a trailing 'label' column for training")
     # the output layer has one unit per class, so labels become 0..C-1 in
     # ascending order whatever their values
-    classes, labels = np.unique(loaded.labels, return_inverse=True)
+    classes, labels = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ConfigError(f"data: {path}: training needs at least 2 classes, found one label")
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
-    return loaded.points, labels, *_split(rng, loaded.points.shape[0])
+    return points, labels, *_split(rng, points.shape[0])
 
 
 def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
@@ -274,6 +273,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
 
     steps_per_epoch = train_idx.size // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
+    if total_steps > sys.float_info.max:  # the schedule computes in float64
+        raise ConfigError(f"epochs: {steps_per_epoch} steps per epoch make a step count past float64's range, got {cfg.epochs!r}")
     sched = WarmupSchedule.for_total(cfg.base_lr, total_steps)
     batch_rng = np.random.default_rng([seed, _STREAM_BATCHES])
 

@@ -136,11 +136,9 @@ def backward_combined(
     """
     if mlp.params.ndim != 1:
         raise ValueError(f"backward_combined takes one parameter vector, got a stack of shape {mlp.params.shape}")
-    labels = _labels(labels)
     logits, reps, activations = forward(mlp, batch)
     n = logits.shape[0]
-    if labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch of {n}")
+    labels = _labels(labels, n)
     # argmin and argmax stand in for min() and max(), which cost more at this size
     if labels.size and (labels[labels.argmin()] < 0 or labels[labels.argmax()] >= logits.shape[1]):
         raise ValueError("labels out of range for the logit dimension")

@@ -55,12 +55,14 @@ def _check_mode(mode) -> None:
         raise ValueError(f"mode must be a SelectionMode, got {mode!r}")
 
 
-def _labels(labels) -> np.ndarray:
-    """Class labels as an int64 array; raises ValueError unless their dtype
-    is an integer one, so float (and bool) labels are never truncated."""
+def _labels(labels, n: int) -> np.ndarray:
+    """The class labels of n points as int64; raises ValueError unless they
+    are a 1-D array of n integers, so float (and bool) labels never truncate."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.shape != (n,):
+        raise ValueError(f"labels must be a 1-D array of {n} integers, got shape {labels.shape}")
     return labels.astype(np.int64, copy=False)
 
 
@@ -123,11 +125,7 @@ def per_class_entropy_loss(
     """
     _check_mode(mode)
     x, _ = _points(x)
-    labels = _labels(labels)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-D sequence of class indices")
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError(f"labels cover {labels.shape[0]} points, cloud has {x.shape[0]}")
+    labels = _labels(labels, x.shape[0])
     total = 0.0
     grad = np.zeros_like(x)
     any_active = False

@@ -169,6 +169,17 @@ class TestUnreadableClouds:
         assert_one_error_line(captured)
         assert "overflow" in captured.err
 
+    @pytest.mark.parametrize("command", ["barcode", "entropy", "anisotropy", "train"])
+    def test_cell_past_the_csv_field_limit_exits_2(self, tmp_path, capsys, command):
+        path = write_csv(tmp_path / "big.csv", f"1,2\n3,{'7' * 200_000}\n")
+        argv = [command, path]
+        if command == "train":
+            argv = ["train", "--config", train_config(tmp_path, data={"csv": path}), "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err == f"error: {path}: field larger than field limit (131072) (row 2)\n"
+
     @pytest.mark.parametrize("command", ["barcode", "entropy", "anisotropy"])
     def test_non_utf8_csv_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "binary.csv"
@@ -475,6 +486,8 @@ class TestTrainCommand:
             (dict(data={"n_per_class": 2**62}), "data.n_per_class"),
             (dict(data={"n_classes": 2**62}), "data.n_classes"),
             (dict(hidden_dims=[2**62]), "hidden_dims"),
+            # the warmup schedule's step count would pass float64's range
+            (dict(epochs=10**400), "epochs"),
         ],
     )
     def test_invalid_field_values_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -494,6 +507,19 @@ class TestTrainCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"seeds": ' + "[" * 990 + "]" * 990 + "}"],
+        ids=["bare_arrays", "seeds"],
+    )
+    def test_config_nested_too_deeply_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith(f"error: {path}: invalid JSON:")
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
@@ -694,7 +720,7 @@ CONFIG_FIELDS = {
     "regime": (["none", "selected_bars", "all_bars"], BAD + ["sometimes"]),
     "base_lr": ([1e-3, 1e-2, 0.5], BAD + [0.0, 1e300, float("nan")]),
     "weight_decay": ([0.0, 1e-3], BAD + [float("inf")]),
-    "epochs": ([1], BAD + [0, 1.0]),
+    "epochs": ([1], BAD + [0, 1.0, 10**400]),
     "batch_size": ([4, 8], BAD + [2, 4.0]),
     "entropy_weight": ([0.0, 1.0], BAD),
     "seeds": ([[0], [1, 0]], BAD + [[], [-1], [True], [0.5], [0, 0]]),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,7 +185,8 @@ class TestBackwardCombined:
 
     @pytest.mark.parametrize("labels", [[0, 1, 0], [[0], [1]], 0], ids=["too_many", "2d", "scalar"])
     def test_labels_must_have_one_entry_per_row(self, labels):
-        with pytest.raises(ValueError, match="labels shape"):
+        message = f"labels must be a 1-D array of 2 integers, got shape {np.shape(labels)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             backward_combined(small_mlp(), np.zeros((2, 3)), labels, None)
 
     @pytest.mark.parametrize("labels", [[0, 0.5, 1.9, 1.0], np.array([False, False, True, True])])
