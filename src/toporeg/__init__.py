@@ -4,39 +4,38 @@ Compute 0-dimensional Vietoris-Rips barcodes, persistent entropy, and
 topological feature selection; differentiate the entropy through the point
 coordinates; track latent anisotropy; and train a small classifier whose
 objective trades cross-entropy against per-class persistent entropy.
+
+Importing the package loads none of its modules.  A public name loads its
+home module on first access (a module ``__getattr__``, PEP 562) and is then
+bound here, so later reads are plain attribute reads and
+``from toporeg import *`` binds the same objects an eager import would.
 """
 
-from .geometry import AnisotropyProfile, anisotropy_profile, pairwise_distances
-from .persistence import Barcode, vr_barcode_0d
-from .entropy import SelectionResult, persistent_entropy, select_features
-from .regularizer import EntropyLossGrad, SelectionMode, entropy_loss_grad, per_class_entropy_loss
-from .model import MLP, AdamState, WarmupSchedule, adam_step, backward_combined, forward
-from .harness import BlobSpec, ExperimentConfig, generate_blobs, run_seed, summarize
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnisotropyProfile",
-    "anisotropy_profile",
-    "pairwise_distances",
-    "Barcode",
-    "vr_barcode_0d",
-    "SelectionResult",
-    "persistent_entropy",
-    "select_features",
-    "EntropyLossGrad",
-    "SelectionMode",
-    "entropy_loss_grad",
-    "per_class_entropy_loss",
-    "MLP",
-    "AdamState",
-    "WarmupSchedule",
-    "adam_step",
-    "backward_combined",
-    "forward",
-    "BlobSpec",
-    "ExperimentConfig",
-    "generate_blobs",
-    "run_seed",
-    "summarize",
-]
+# home module -> the public names it exports, in the order of __all__
+_EXPORTS = {
+    "geometry": ("AnisotropyProfile", "anisotropy_profile", "pairwise_distances"),
+    "persistence": ("Barcode", "vr_barcode_0d"),
+    "entropy": ("SelectionResult", "persistent_entropy", "select_features"),
+    "regularizer": ("EntropyLossGrad", "SelectionMode", "entropy_loss_grad", "per_class_entropy_loss"),
+    "model": ("MLP", "AdamState", "WarmupSchedule", "adam_step", "backward_combined", "forward"),
+    "harness": ("BlobSpec", "ExperimentConfig", "generate_blobs", "run_seed", "summarize"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

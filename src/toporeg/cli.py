@@ -31,9 +31,16 @@ so a run that stops with exit 2 or 5 leaves only what it wrote.
 
 A command returns EXIT_OK or raises; ``main`` alone turns the exception
 into its exit code and one ``error:`` line on stderr.  Unreadable files
-(OSError), malformed CSVs (CloudParseError), invalid configs (ConfigError)
-and failed allocations (MemoryError, named with the command and the size)
-map to exit 2; every other failure carries its own code.
+(OSError), malformed CSVs (CloudParseError) and failed allocations
+(MemoryError, named with the command and the size) map to exit 2, and so
+do invalid configs: ``cmd_train`` re-raises a ConfigError as exit 2, so
+``main`` need not import the training stack.  Every other failure carries
+its own code.
+
+A command imports only the modules it runs.  Every command loads
+cloudfile, geometry and serialize; ``barcode`` adds persistence,
+``entropy`` adds persistence and entropy, and ``train`` adds harness,
+model and regularizer, which load the rest.
 
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 """
@@ -50,10 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloudfile import CloudParseError, load_cloud_csv
-from .entropy import persistent_entropy, select_features
 from .geometry import anisotropy_profile, pairwise_distances
-from .harness import SUMMARY_MIN_RECORDS, ConfigError, ExperimentConfig, run_seed, summarize
-from .persistence import Barcode, vr_barcode_0d
 from .serialize import dump_json, write_jsonl
 
 EXIT_OK = 0
@@ -77,8 +81,10 @@ class _CommandError(Exception):
         self.code = code
 
 
-def _barcode(path) -> Barcode:
-    """Barcode of the cloud in a CSV file."""
+def _barcode(path):
+    """The persistence.Barcode of the cloud in a CSV file."""
+    from .persistence import vr_barcode_0d
+
     points, _ = load_cloud_csv(path)
     if points.shape[0] < 2:
         raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
@@ -103,6 +109,8 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    from .entropy import persistent_entropy, select_features
+
     lengths = _barcode(args.input).lengths()
     if not lengths.any():
         raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 distinct points for persistent entropy")
@@ -133,6 +141,17 @@ def cmd_anisotropy(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .harness import ConfigError
+
+    try:
+        return _train(args)
+    except ConfigError as exc:  # an invalid config, or training data the config names
+        raise _CommandError(EXIT_PARSE, str(exc)) from None
+
+
+def _train(args) -> int:
+    from .harness import SUMMARY_MIN_RECORDS, ExperimentConfig, run_seed, summarize
+
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # malformed JSON, text that is not UTF-8, or nesting too deep
@@ -217,7 +236,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CommandError as exc:
         code, message = exc.code, str(exc)
-    except (OSError, CloudParseError, ConfigError) as exc:
+    except (OSError, CloudParseError) as exc:
         code, message = EXIT_PARSE, str(exc)
     except MemoryError as exc:  # numpy's message names the size that failed
         code, message = EXIT_PARSE, f"{args.command}: out of memory: {str(exc) or 'allocation failed'}"

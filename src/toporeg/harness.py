@@ -73,9 +73,11 @@ def _check_count(path: str, value, least: int) -> None:
 
 
 def _check_real(path: str, value, positive: bool = False) -> None:
-    # an int compares exactly with a float: NaN, inf and ints past float64's range fail
+    # an int compares exactly with a float: NaN, inf and ints past float64's range fail;
+    # a numpy float compares as a float, since float32 would cast the bound to its inf
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and (value > 0 if positive else value >= 0) and value <= sys.float_info.max):
+    number = float(value) if isinstance(value, np.floating) else value
+    if not (real and (number > 0 if positive else number >= 0) and number <= sys.float_info.max):
         raise ConfigError(f"{path}: must be a finite real {'>' if positive else '>='} 0, got {value!r}")
 
 

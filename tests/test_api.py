@@ -4,6 +4,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import toporeg
 
 PUBLIC_NAMES = [
@@ -41,6 +43,27 @@ def test_every_public_name_resolves():
     assert len(set(toporeg.__all__)) == len(toporeg.__all__)
     for name in toporeg.__all__:
         assert getattr(toporeg, name, None) is not None, name
+
+
+def test_every_public_name_is_its_home_modules_object():
+    # the home module is where the object was defined, whichever module the root loads it from
+    for name in toporeg.__all__:
+        value = getattr(toporeg, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("toporeg.") and getattr(home, name) is value, name
+
+
+def test_dir_lists_every_public_name_before_it_loads(monkeypatch):
+    for name in toporeg.__all__:
+        if name in vars(toporeg):  # bound at the root by an earlier access
+            monkeypatch.delattr(toporeg, name)
+    assert set(toporeg.__all__) <= set(dir(toporeg))
+    assert "__version__" in dir(toporeg)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'toporeg' has no attribute 'no_such_name'"):
+        getattr(toporeg, "no_such_name")
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -297,13 +297,18 @@ def train_config(tmp_path, **overrides):
     return str(path)
 
 
-def run_cli_process(argv, env=None, **kwargs):
-    """``python -m toporeg *argv`` in a fresh process, with ``env`` added to
-    this process's environment; returns the CompletedProcess."""
+def run_python(args, env=None, **kwargs):
+    """``python *args`` in a fresh process that imports this toporeg, with
+    ``env`` added to this process's environment; returns the CompletedProcess."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "toporeg", *argv], capture_output=True, env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120, **kwargs)
+
+
+def run_cli_process(argv, env=None, **kwargs):
+    """``python -m toporeg *argv`` in a fresh process (see run_python)."""
+    return run_python(["-m", "toporeg", *argv], env, **kwargs)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -312,6 +317,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
     rc, out, _ = run_main(["barcode", path])
     assert rc == 0 and proc.stdout == out.encode("utf-8")
+
+
+# Prints, as the last line, the toporeg modules loaded after `import toporeg`
+# and after each command of the JSON list in argv[1], run in turn.
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("toporeg."))
+import toporeg
+steps = [loaded()]
+from toporeg import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # a fresh process, since this one shares sys.modules with every other test
+    path = write_csv(tmp_path / "cloud.csv", "0,0\n3,4\n1,1\n")
+    commands = [
+        ["anisotropy", path, "--k", "2"],
+        ["barcode", path],
+        ["entropy", path, "--select", "features"],
+        ["train", "--config", train_config(tmp_path), "--out", str(tmp_path / "runs")],
+    ]
+    proc = run_python(["-c", LOADED_MODULES_SCRIPT, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    every = ["toporeg.cli", "toporeg.cloudfile", "toporeg.geometry", "toporeg.serialize"]
+    barcode = sorted([*every, "toporeg.persistence"])
+    entropy = sorted([*barcode, "toporeg.entropy"])
+    train = sorted([*entropy, "toporeg.harness", "toporeg.model", "toporeg.regularizer"])
+    assert steps == [[], every, barcode, entropy, train]
 
 
 # the address space each out-of-memory case may use: room for the
@@ -569,7 +610,7 @@ class TestTrainCommand:
             records = [{"step": i + 1, "ce": 1.0, "ent": 0.0, "total": 1.0} for i in range(4)]
             return RunMetrics(seed=seed, records=records, diverged=True)
 
-        monkeypatch.setattr(cli, "run_seed", fake_run_seed)
+        monkeypatch.setattr("toporeg.harness.run_seed", fake_run_seed)  # cmd_train imports it per call
         assert main(["train", "--config", cfg, "--out", str(out)]) == 5
         lines = (out / "metrics_seed0.jsonl").read_text().splitlines()
         assert json.loads(lines[-1]) == {"step": 5, "diverged": True}

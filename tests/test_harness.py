@@ -1,4 +1,5 @@
 import struct
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -131,11 +132,24 @@ class TestExperimentConfig:
             (dict(base_lr=10**400), "base_lr: must be a finite real > 0"),
             (dict(entropy_weight=10**400), "entropy_weight: must be a finite real >= 0"),
             (dict(data=BlobSpec(spread=10**400)), "data.spread: must be a finite real >= 0"),
+            # numpy floats narrower than float64, whose inf a cast bound would equal
+            (dict(base_lr=np.float32(np.inf)), "base_lr: must be a finite real > 0"),
+            (dict(base_lr=np.float32(np.nan)), "base_lr: must be a finite real > 0"),
+            (dict(weight_decay=np.float16(np.inf)), "weight_decay: must be a finite real >= 0"),
+            (dict(data=BlobSpec(spread=np.float32(np.nan))), "data.spread: must be a finite real >= 0"),
         ],
     )
     def test_validation_names_the_field(self, kw, field):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_numpy_floats_validate_without_a_warning(self, dtype):
+        # comparing with float64's largest value cast to float32 overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = ExperimentConfig(base_lr=dtype(0.01), weight_decay=dtype(0), data=BlobSpec(spread=dtype(3.0)))
+        assert cfg.base_lr == dtype(0.01)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="mystery"):
