@@ -10,12 +10,23 @@ labels; otherwise every column is a coordinate.  Every parse error starts
 with ``<path>: `` and names a 1-based row: for a cell past the csv module's
 field size limit, checked before any cell is parsed, the row where reading
 stopped; else the earliest bad row, and for a bad cell also its column.
+
+Two readers share this format.  numpy's C reader (``np.loadtxt``, whose
+converter calls ``PyOS_string_to_double`` as ``float()`` does) takes a
+file with no label column, no ``"`` and no blank line at the top, and no
+line longer than the field size limit, when every cell parses to a finite
+value and every row has the header's width.  Every other file, each
+malformed one included, goes through the csv module, which defines the
+format and every error message; the points, the labels and the messages
+are the same whichever reader runs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
+from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 
@@ -41,17 +52,69 @@ def _is_float(token: str) -> bool:
     return True
 
 
+@contextmanager
+def _text(path):
+    """The file opened for reading as UTF-8, lines untranslated, past a
+    leading byte order mark (the "utf-8-sig" codec would drop it too, at
+    about 0.4 MB more peak RSS on a 650 KB file)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
+        yield fh
+
+
+def _within_limit(lines, limit: int):
+    """The lines, raising ValueError at one longer than ``limit``: a file
+    with such a line goes to the csv module, which names its row."""
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError("line past the field size limit")
+        yield line
+
+
+def _plain_points(path) -> np.ndarray | None:
+    """The points of a file numpy's C reader takes (module docstring), or
+    None for a file the csv module must read."""
+    limit = csv.field_size_limit()
+    try:
+        with _text(path) as fh:
+            first = fh.readline()
+            cells = first.rstrip("\r\n").split(",")
+            # a blank first line or a quote leaves header detection to the csv module
+            if len(first) > limit or '"' in first or not "".join(cells).strip():
+                return None
+            has_header = not all(_is_float(cell.strip()) for cell in cells)
+            if has_header and cells[-1].strip().lower() == "label":
+                return None
+            lines = _within_limit(fh, limit)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # such as "input contained no data"
+                points = np.loadtxt(
+                    lines if has_header else chain([first], lines),
+                    delimiter=",",
+                    comments=None,  # a "#" cell is a bad cell, not a comment
+                    dtype=np.float64,
+                    ndmin=2,
+                )
+    except OSError:
+        raise  # io.UnsupportedOperation, from an unseekable file, is a ValueError too
+    except (ValueError, Warning):  # UnicodeDecodeError included: the csv path gives its offset
+        return None
+    if points.shape[0] and points.shape[1] == len(cells) and np.isfinite(points).all():
+        return points
+    return None
+
+
 def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """(points, labels) of a cloud file: N x D float64 coordinates and N
     int64 labels, or None without a label column; raises CloudParseError."""
+    points = _plain_points(path)
+    if points is not None:
+        return points, None
     rows = []
     try:
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                # drop a leading byte order mark (the "utf-8-sig" codec would
-                # too, at about 0.4 MB more peak RSS on a 650 KB file)
-                if fh.read(1) != "\ufeff":
-                    fh.seek(0)
+            with _text(path) as fh:
                 # extend keeps the rows read before one the reader rejects
                 rows.extend(row for row in csv.reader(fh) if any(map(str.strip, row)))
         except UnicodeDecodeError:

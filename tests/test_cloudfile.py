@@ -1,10 +1,12 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toporeg import cloudfile
 from toporeg.cloudfile import CloudParseError, load_cloud_csv
 
 from oracles import CsvCellError, per_cell_cloud_csv
@@ -127,6 +129,117 @@ class TestBulkParse:
             load_cloud_csv(path)
         row = 3 if header else 2
         assert str(info.value) == f"{path}: field larger than field limit ({csv.field_size_limit()}) (row {row})"
+
+
+@st.composite
+def plain_clouds(draw):
+    """(header or None, rows) of label-free cells numpy's C reader takes:
+    number_cells() without underscores or non-ASCII digits, padded."""
+    width = draw(st.integers(1, 4))
+    token = number_cells().filter(lambda c: c.isascii() and "_" not in c)
+    cell = st.tuples(st.sampled_from(PADDING), token, st.sampled_from(PADDING)).map("".join)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=8))
+    header = draw(st.sampled_from([None, [f" x{i} " for i in range(width)]]))
+    return header, rows
+
+
+class TestTwoReaders:
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=plain_clouds(), ending=st.sampled_from(["\n", "\r\n", "\r"]), bom=st.sampled_from(["", "\ufeff"]))
+    def test_c_reader_matches_the_csv_module(self, tmp_path_factory, cloud, ending, bom):
+        header, rows = cloud
+        labeled_header = [*(header or [f"x{i}" for i in range(len(rows[0]))]), "label"]
+        texts = {
+            # no label column, no quote: numpy's C reader
+            "plain": [header, *rows] if header else rows,
+            # a label column: the csv module
+            "labeled": [labeled_header, *([*row, str(r)] for r, row in enumerate(rows))],
+            # every cell quoted: the csv module
+            "quoted": [[f'"{cell}"' for cell in row] for row in ([header, *rows] if header else rows)],
+        }
+        base = tmp_path_factory.getbasetemp()
+        got = {}
+        for name, lines in texts.items():
+            path = base / f"{name}.csv"
+            path.write_text(bom + ending.join(map(",".join, lines)) + ending, encoding="utf-8", newline="")
+            assert (cloudfile._plain_points(path) is None) == (name != "plain")
+            got[name] = load_cloud_csv(path)
+        assert got["plain"][1] is None and got["quoted"][1] is None
+        assert got["labeled"][1].tolist() == list(range(len(rows)))
+        points = got["plain"][0]
+        assert points.shape == (len(rows), len(rows[0]))
+        assert got["labeled"][0].tobytes() == points.tobytes() == got["quoted"][0].tobytes()
+
+
+class TestFileShapes:
+    """Points and messages that numpy's C reader, left to its defaults,
+    would give otherwise."""
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "cloud.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return path, load_cloud_csv(path)
+
+    @pytest.mark.parametrize("cell", ["0" * 200_000, " " * 200_000 + "1"], ids=["zeros", "spaces_then_one"])
+    def test_finite_cell_past_the_field_size_limit_names_its_row(self, tmp_path, cell):
+        path = tmp_path / "big.csv"
+        path.write_text(f"1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(CloudParseError) as info:
+            load_cloud_csv(path)
+        assert str(info.value) == f"{path}: field larger than field limit ({csv.field_size_limit()}) (row 2)"
+
+    def test_hash_cell_is_a_bad_cell_not_a_comment(self, tmp_path):
+        with pytest.raises(CloudParseError) as info:
+            self.load(tmp_path, "1,2\n#3,4\n")
+        assert str(info.value).endswith(": cannot parse '#3' as a number (row 2, column 1)")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no data rows"),
+            ("\ufeff", "no data rows"),
+            ("\n \n\t\n", "no data rows"),
+            ("x,y\n", "header only, no data rows"),
+            ("x,y\n\n,\n", "header only, no data rows"),
+        ],
+        ids=["empty", "bom_only", "blank_only", "header_only", "header_and_blank_lines"],
+    )
+    def test_no_data_raises_without_a_warning(self, tmp_path, text, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CloudParseError) as info:
+                self.load(tmp_path, text)
+        assert caught == []
+        assert str(info.value).endswith(f": {message}")
+
+    def test_lone_carriage_returns_end_lines(self, tmp_path):
+        _, (want, _) = self.load(tmp_path, "x,y\n1,2\n3,4\n")
+        _, (got, _) = self.load(tmp_path, "x,y\r1,2\r3,4\r")
+        assert got.shape == (2, 2) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, shape", [("1\n2\n3\n", (3, 1)), ("1,2,3\n", (1, 3)), ("x\n5\n", (1, 1))], ids=["column", "row", "one"]
+    )
+    def test_one_column_and_one_row_keep_two_axes(self, tmp_path, text, shape):
+        _, (points, _) = self.load(tmp_path, text)
+        assert points.shape == shape
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\nx,y\n1,2\n", ' \n"x\ny",z\n1,2\n', '"x\ny",z\n1,2\n'],
+        ids=["after_blank", "quoted_after_blank", "quoted_two_lines"],
+    )
+    def test_header_below_a_blank_line_or_across_two_lines(self, tmp_path, text):
+        _, (points, labels) = self.load(tmp_path, text)
+        assert points.tolist() == [[1.0, 2.0]] and labels is None
+
+    def test_quoted_first_row_is_parsed_by_the_csv_module(self, tmp_path):
+        # unquoted, '"1"' is no number, so the row would pass for a header
+        _, (points, _) = self.load(tmp_path, '"1",2\n3,4\n')
+        assert points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # and '"label"' would not name a label column
+        _, (points, labels) = self.load(tmp_path, 'x,"label"\n1,0\n2,1\n')
+        assert points.tolist() == [[1.0], [2.0]] and labels.tolist() == [0, 1]
 
 
 class TestEncoding:
