@@ -113,6 +113,8 @@ def per_cell_cloud_csv(path):
                 raise CsvCellError(f"{path}: cannot parse label {token!r} as an integer", row=r, column=width) from None
             if label < 0:
                 raise CsvCellError(f"{path}: labels must be nonnegative, got {label}", row=r, column=width)
+            if label >= 2**63:
+                raise CsvCellError(f"{path}: labels must be at most {2**63 - 1}, got {label}", row=r, column=width)
             labels.append(label)
     return np.array(points, dtype=np.float64), (np.array(labels, dtype=np.int64) if has_labels else None)
 

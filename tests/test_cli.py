@@ -319,6 +319,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert rc == 0 and proc.stdout == out.encode("utf-8")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("argv", [["anisotropy", "--k", "1"], ["barcode"]], ids=["anisotropy", "barcode"])
+def test_unseekable_input_exits_2_naming_the_path(argv):
+    # subprocess.run feeds `input` through a pipe, which cannot seek
+    proc = run_cli_process([argv[0], "/dev/stdin", *argv[1:]], input=b"0,0\n3,4\n1,1\n")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode().splitlines() == [
+        "error: /dev/stdin: cannot seek in this input (a pipe?); give a regular file"
+    ]
+
+
 # Prints, as the last line, the toporeg modules loaded after `import toporeg`
 # and after each command of the JSON list in argv[1], run in turn.
 LOADED_MODULES_SCRIPT = """

@@ -82,26 +82,32 @@ def csv_texts(draw):
     return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
+def assert_matches_oracle(path):
+    """load_cloud_csv gives per_cell_cloud_csv's points (bitwise, so -0.0
+    stays -0.0), labels and dtypes, or its message, row and column included."""
+    try:
+        points, labels = per_cell_cloud_csv(path)
+    except CsvCellError as expected:
+        with pytest.raises(CloudParseError) as info:
+            load_cloud_csv(path)
+        assert str(info.value) == str(expected)
+        return
+    got_points, got_labels = load_cloud_csv(path)
+    assert got_points.dtype == np.float64 and got_points.shape == points.shape
+    assert got_points.tobytes() == points.tobytes()
+    if labels is None:
+        assert got_labels is None
+    else:
+        assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
+
+
 class TestBulkParse:
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts())
     def test_matches_per_cell_oracle(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "cloud.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        try:
-            points, labels = per_cell_cloud_csv(path)
-        except CsvCellError as expected:
-            with pytest.raises(CloudParseError) as info:
-                load_cloud_csv(path)
-            assert str(info.value) == str(expected)  # the row and column included
-            return
-        got_points, got_labels = load_cloud_csv(path)
-        assert got_points.dtype == np.float64 and got_points.shape == points.shape
-        assert got_points.tobytes() == points.tobytes()  # bitwise, so -0.0 stays -0.0
-        if labels is None:
-            assert got_labels is None
-        else:
-            assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
+        assert_matches_oracle(path)
 
     def test_errors_start_with_the_path(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -152,8 +158,11 @@ class TestTwoReaders:
         texts = {
             # no label column, no quote: numpy's C reader
             "plain": [header, *rows] if header else rows,
-            # a label column: the csv module
-            "labeled": [labeled_header, *([*row, str(r)] for r, row in enumerate(rows))],
+            # an ASCII file with a label column: numpy's C reader, structured dtype
+            "labeled": [
+                labeled_header,
+                *([*(cell.replace("\xa0", " ") for cell in row), str(r)] for r, row in enumerate(rows)),
+            ],
             # every cell quoted: the csv module
             "quoted": [[f'"{cell}"' for cell in row] for row in ([header, *rows] if header else rows)],
         }
@@ -162,13 +171,55 @@ class TestTwoReaders:
         for name, lines in texts.items():
             path = base / f"{name}.csv"
             path.write_text(bom + ending.join(map(",".join, lines)) + ending, encoding="utf-8", newline="")
-            assert (cloudfile._plain_points(path) is None) == (name != "plain")
+            assert (cloudfile._c_reader(path) is None) == (name == "quoted")
             got[name] = load_cloud_csv(path)
         assert got["plain"][1] is None and got["quoted"][1] is None
-        assert got["labeled"][1].tolist() == list(range(len(rows)))
+        labels = got["labeled"][1]
+        assert labels.dtype == np.int64 and labels.tolist() == list(range(len(rows)))
         points = got["plain"][0]
         assert points.shape == (len(rows), len(rows[0]))
         assert got["labeled"][0].tobytes() == points.tobytes() == got["quoted"][0].tobytes()
+
+
+class TestLabelCells:
+    """Label cells at the edges of what numpy's int64 converter and int()
+    accept; the reader that takes the file is pinned along with the result."""
+
+    @pytest.mark.parametrize(
+        "label, reader",
+        [
+            (" 3 ", "c"),
+            ("+3", "c"),
+            ("007", "c"),
+            ("-0", "c"),
+            ("3\x1c", "c"),
+            ("9223372036854775807", "c"),
+            # numpy refuses these
+            ("1_0", "csv"),
+            ("9223372036854775808", "csv"),
+            ("1.0", "csv"),
+            # numpy parses this, and the C reader declines a negative label
+            ("-1", "csv"),
+            # non-ASCII: numpy's int64 converter would read "\u01fe" as a digit worth 462
+            ("\u0663", "csv"),
+            ("\xa03", "csv"),
+            ("\u01fe", "csv"),
+            ("1\u01fe2", "csv"),
+        ],
+    )
+    def test_matches_per_cell_oracle(self, tmp_path, label, reader):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"x,y,label\n1,2,0\n3,4,{label}\n5,6,1\n", encoding="utf-8", newline="")
+        assert (cloudfile._c_reader(path) is None) == (reader == "csv")
+        assert_matches_oracle(path)
+
+    def test_lone_label_column_has_no_coordinates(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("label\n0\n1\n", encoding="utf-8")
+        assert cloudfile._c_reader(path) is None
+        with pytest.raises(CloudParseError) as info:
+            load_cloud_csv(path)
+        assert str(info.value) == f"{path}: row has no coordinate columns (row 2)"
 
 
 class TestFileShapes:
