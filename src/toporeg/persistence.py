@@ -23,13 +23,17 @@ adds the one whose edge (min(p, t), max(p, t)) is smallest.  Such ties are
 rare, so each step probes for one before searching: it marks the chosen
 point's key NaN and looks again at the minimum; only when that still equals
 the key (a float test, so -0.0 ties +0.0) does it find the tied points'
-endpoints and compare their edges.  After the loop one N x N equality test
-against the keys recovers every endpoint the same way, as the smallest-index
-point that joined earlier at exactly that length.  Each tree edge must then
-hold its key in both directions of the matrix, else the matrix is rejected
-as not symmetric, and its bar length is the entry d[a, b], a < b, bit for
-bit.  The N - 1 edges are then sorted by (length, i, j), the order in which
-Kruskal accepts them.
+endpoints and compare their edges.  The loop runs N - 1 times whatever the
+entries hold and raises on none, so the entries are checked after it, in
+one pass over blocks of rows that also recovers every endpoint the same
+way, as the smallest-index point that joined earlier at exactly that
+length: each block is checked for negative and non-finite entries, compared
+with the keys, and each row's first hit kept.  Only when the hits do not
+number N - 1 are the rows whose first hit did not join earlier read again.
+Each tree edge must then hold its key in both directions of the matrix, else
+the matrix is rejected as not symmetric, and its bar length is the entry
+d[a, b], a < b, bit for bit.  The N - 1 edges are then sorted by
+(length, i, j), the order in which Kruskal accepts them.
 
 A ``Barcode`` stores the bars as three parallel arrays in that order: the
 lengths, and the endpoints ``a`` and ``b`` of each edge with a < b.  Callers
@@ -43,6 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# vr_barcode_0d's pass after the Prim loop takes max(1, _CHUNK_VALUES // N)
+# rows at a time: 1 MB of the matrix and a 128 KB mask, so each block is read
+# once, from cache.  64 rows at N = 2048, one block at N = 32.
+_CHUNK_VALUES = 1 << 17
 
 
 @dataclass
@@ -96,9 +105,12 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     bar lengths, each equal to its entry ``d[a, b]`` bit for bit.  Requires
     N >= 2 and nonnegative finite entries (-0.0 is allowed), as
     ``pairwise_distances`` returns them: argmin on the keys' int64 view
-    orders only nonnegative doubles as floats.  Symmetry is checked on the
+    orders only nonnegative doubles as floats.  The entries are checked
+    after the Prim loop, block by block in the pass that recovers the tree
+    endpoints, and before any result is used.  Symmetry is checked on the
     tree edges only: each must equal the length it joined at in both
-    directions, or ``ValueError`` is raised.  ``d`` is not modified.
+    directions.  Either failure raises ``ValueError``, the entries error
+    first.  ``d`` is not modified.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -106,11 +118,6 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     n = d.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points for a non-empty barcode")
-    # min and max propagate NaN, so this catches NaN, +-inf and negative
-    # entries without an N x N mask
-    if not (d.min() >= 0.0 and np.isfinite(d.max())):
-        raise ValueError("distance matrix has negative or non-finite entries")
-
     # key[t]: length of the least edge from the tree to outside point t;
     # tree points hold NaN, which minimum keeps, so one unmasked minimum per
     # join lowers only the outside keys and passes d[t]'s -0.0 through.
@@ -144,14 +151,35 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     keys = np.array(keys)
     # Row t hits its head at t's bar length, the root's -1 hits nothing: N - 1
     # hits are the heads; else the first hit among earlier joins is t's head.
+    # One pass over row blocks checks the entries (min and max propagate NaN,
+    # so they catch NaN, +-inf and negative entries without a mask), counts
+    # the hits and keeps each row's first hit.
     bar_len = np.full(n, -1.0)
     bar_len[tails] = keys
-    hit = d == bar_len[:, None]
-    if np.count_nonzero(hit) != n - 1:
+    first = np.empty(n, dtype=np.intp)
+    hits = 0
+    step = max(1, _CHUNK_VALUES // n)
+    for r0 in range(0, n, step):
+        r1 = r0 + step
+        rows = d[r0:r1]
+        if not (rows.min() >= 0.0 and np.isfinite(rows.max())):
+            raise ValueError("distance matrix has negative or non-finite entries")
+        hit = rows == bar_len[r0:r1, None]
+        hits += np.count_nonzero(hit)
+        hit.argmax(axis=1, out=first[r0:r1])
+    if hits != n - 1:
+        # Decided on the total, not per block, so that no result depends on
+        # the block size.  A first hit that joined earlier is also the first
+        # earlier hit; only the other rows (the root, ties) are read again,
+        # masked to earlier joins.
         rank = np.zeros(n, dtype=np.intp)  # join order; the root is 0
         rank[tails] = np.arange(1, n)
-        hit &= rank < rank[:, None]
-    heads = hit.argmax(axis=1)[tails]
+        late = (rank[first] >= rank).nonzero()[0]
+        for r0 in range(0, late.size, step):
+            block = late[r0 : r0 + step]
+            hit = (d[block] == bar_len[block, None]) & (rank < rank[block, None])
+            first[block] = hit.argmax(axis=1)
+    heads = first[tails]
     a = np.minimum(heads, tails)
     b = np.maximum(heads, tails)
     # Each tree edge must hold its key in both directions; a bar is then its

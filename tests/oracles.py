@@ -284,11 +284,11 @@ def entropy_formula(lengths) -> float:
 
 
 def recursive_dump_json(obj, indent: int = 0, _level: int = 0) -> str:
-    """JSON text built value by value: %.17g floats, ints through str,
-    strings through json.dumps, items joined by ", " on one line or by
-    ",\n" with ``indent`` spaces per level.  numpy scalars and arrays are
-    converted first; a non-finite float raises ValueError, a non-string key
-    or an unknown type TypeError."""
+    """JSON text built value by value: floats through repr (the shortest
+    text that round-trips), ints through str, strings through json.dumps,
+    items joined by ", " on one line or by ",\n" with ``indent`` spaces per
+    level.  numpy scalars and arrays are converted first; a non-finite float
+    raises ValueError, a non-string key or an unknown type TypeError."""
     pad = " " * (indent * (_level + 1)) if indent else ""
     close_pad = " " * (indent * _level) if indent else ""
     sep = ",\n" if indent else ", "
@@ -307,7 +307,7 @@ def recursive_dump_json(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"refusing to serialize non-finite float {obj!r}")
-        return format(obj, ".17g")
+        return repr(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
@@ -327,6 +327,40 @@ def recursive_dump_json(obj, indent: int = 0, _level: int = 0) -> str:
         body = sep.join(items)
         return "[\n" + body + "\n" + close_pad + "]" if indent else "[" + body + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def same_json_values(text_a: str, text_b: str) -> bool:
+    """Whether two JSON texts hold the same values, whatever digits print
+    them: the same structure, the same keys in the same order, equal
+    strings, bools and nulls, and every number bitwise equal as a double by
+    float.hex, as integers too where both texts write one.  So "2", "2.0"
+    and "2e0" are one value, "-0" and "-0.0" are -0.0, and "0" is not "-0.0"."""
+
+    def parse(text):
+        # objects keep their key order; numbers keep their text
+        return json.loads(
+            text,
+            object_pairs_hook=lambda pairs: ("object", pairs),
+            parse_int=lambda token: ("int", token),
+            parse_float=lambda token: ("float", token),
+        )
+
+    def same(x, y):
+        if isinstance(x, list) or isinstance(y, list):
+            return type(x) is type(y) and len(x) == len(y) and all(map(same, x, y))
+        if isinstance(x, tuple) and isinstance(y, tuple):
+            if "object" in (x[0], y[0]):
+                return (
+                    x[0] == y[0]
+                    and len(x[1]) == len(y[1])
+                    and all(kx == ky and same(vx, vy) for (kx, vx), (ky, vy) in zip(x[1], y[1]))
+                )
+            if x[0] == y[0] == "int" and int(x[1]) != int(y[1]):
+                return False
+            return float(x[1]).hex() == float(y[1]).hex()
+        return type(x) is type(y) and x == y
+
+    return same(parse(text_a), parse(text_b))
 
 
 def scan_select_features(lengths):

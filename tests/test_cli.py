@@ -245,12 +245,14 @@ class TestAnisotropyCommand:
         assert captured.err == ""
         assert json.loads(captured.out) == {"1": 1.0, "2": 0.0}
 
-    def test_seventeen_digit_float_format(self, tmp_path, capsys):
-        path = write_csv(tmp_path / "t.csv", "1,0\n0,1\n1,1\n")
+    def test_shortest_round_trip_float_format(self, tmp_path, capsys):
+        # the score is 0.8435921354681385, which %.17g prints as 0.84359213546813849
+        path = write_csv(tmp_path / "t.csv", "3,0\n0,1\n1,1\n")
         assert main(["anisotropy", path, "--k", "1"]) == 0
         out = capsys.readouterr().out
         value = json.loads(out)["1"]
-        assert f"{value:.17g}" in out
+        assert out == f'{{"1": {value!r}}}\n'
+        assert len(repr(value)) < len(f"{value:.17g}")
 
     @pytest.mark.parametrize(
         "text,flags",
@@ -278,6 +280,48 @@ class TestAnisotropyCommand:
             want = anisotropy_profile(pts, k_max=k, centered=centered).scores.tolist()
             assert list(payload) == [str(j) for j in range(1, k + 1)]
             assert np.array(list(payload.values())).tobytes() == np.array(want).tobytes()
+
+
+def test_stdout_holds_the_library_results_bitwise(tmp_path, capsys):
+    from oracles import same_json_values
+    from toporeg.entropy import persistent_entropy, select_features
+    from toporeg.geometry import pairwise_distances
+    from toporeg.persistence import vr_barcode_0d
+
+    pts = np.random.default_rng(4).normal(size=(40, 3)) * [1.0, 1e-3, 7.0]
+    path = write_csv(tmp_path / "c.csv", "\n".join(",".join(f"{float(v)!r}" for v in row) for row in pts) + "\n")
+    barcode = vr_barcode_0d(pairwise_distances(pts))
+    lengths, a, b = barcode.lengths(), barcode.a, barcode.b
+    order = np.lexsort((b, a, -lengths))
+    selection = select_features(lengths)
+    want = {
+        ("barcode",): {
+            "bars": [
+                {"length": length, "a": i, "b": j}
+                for length, i, j in zip(lengths[order].tolist(), a[order].tolist(), b[order].tolist())
+            ]
+        },
+        ("entropy", "--select", "features"): {
+            "n_bars": int(lengths.size),
+            "entropy": persistent_entropy(lengths[selection.selected]),
+            "alpha": selection.alpha,
+            "selected": selection.selected,
+            "noise": selection.noise,
+        },
+        ("anisotropy", "--k", "3", "--centered"): {
+            str(k): score for k, score in enumerate(anisotropy_profile(pts, k_max=3, centered=True).scores.tolist(), 1)
+        },
+    }
+    for (command, *flags), payload in want.items():
+        assert main([command, path, *flags]) == 0
+        out = capsys.readouterr().out
+        assert same_json_values(out, json.dumps(payload))
+        # the check sees a moved bit, a reordered key and a changed type
+        assert not same_json_values(out, json.dumps(payload).replace("0", "1", 1))
+    assert not same_json_values('{"a": 1, "b": 2}', '{"b": 2, "a": 1}')
+    assert not same_json_values("[0.1]", "[0.30000000000000004]")
+    assert not same_json_values("[1]", '["1"]')
+    assert same_json_values("[-0, 2, 0.10000000000000001]", "[-0.0, 2.0, 0.1]")
 
 
 def train_config(tmp_path, **overrides):

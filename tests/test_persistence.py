@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toporeg import persistence
 from toporeg.geometry import pairwise_distances
 from toporeg.persistence import Bar, vr_barcode_0d
 
@@ -328,3 +329,106 @@ class TestKruskalOracle:
     def test_n300(self):
         d = pairwise_distances(np.round(np.random.default_rng(300).normal(size=(300, 2)), 1))
         assert bar_triples(vr_barcode_0d(d)) == kruskal_bars(d)
+
+
+def barcode_or_error(d):
+    """The bars of d as (length, a, b) triples, or the ValueError's message."""
+    try:
+        return bar_triples(vr_barcode_0d(d))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1_row", "2_rows", "3_rows"])
+def block_rows(request, monkeypatch):
+    """Sets the pass after the Prim loop to read this many rows of an N x N
+    matrix at a time: call with N; call with 0 for the default blocks."""
+    default = persistence._CHUNK_VALUES
+
+    def set_for(n):
+        monkeypatch.setattr(persistence, "_CHUNK_VALUES", request.param * n if n else default)
+
+    return set_for
+
+
+class TestRowBlocks:
+    """The entry check and the endpoint pass give the same bars and errors
+    whatever the number of rows per block; every test matrix below the
+    multi-block case fits in one default block."""
+
+    def test_tie_heavy_clouds_match_kruskal(self, block_rows):
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            n = int(rng.integers(2, 30))
+            d = pairwise_distances(tie_heavy_cloud(rng, n))
+            block_rows(n)
+            assert bar_triples(vr_barcode_0d(d)) == kruskal_bars(d)
+
+    def test_every_small_matrix_over_signed_zeros_and_two_lengths(self, block_rows):
+        # as TestKruskalOracle's, at N = 4: every row's hits, first hits
+        # that joined later and a root with hits in its column included
+        iu = np.triu_indices(4, 1)
+        block_rows(4)
+        for entries in itertools.product([0.0, -0.0, 1.0, 2.0], repeat=iu[0].size):
+            d = np.zeros((4, 4))
+            d[iu] = d[iu[::-1]] = entries
+            bc = vr_barcode_0d(d)
+            assert bar_triples(bc) == kruskal_bars(d)
+            assert bc.lengths().tobytes() == d[bc.a, bc.b].tobytes()
+
+    def test_asymmetric_integer_matrices_match_one_block(self, block_rows):
+        # the 500 matrices of test_asymmetric_integer_matrices_raise_or_hold_every_edge_both_ways
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            n = int(rng.integers(3, 9))
+            d = rng.integers(0, 5, size=(n, n)).astype(np.float64)
+            np.fill_diagonal(d, 0.0)
+            block_rows(0)
+            want = barcode_or_error(d)
+            block_rows(n)
+            assert barcode_or_error(d) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "minus_one"])
+    @pytest.mark.parametrize(
+        "where", [(6, 1), (3, 1), (2, 0)], ids=["last_block_only", "below_diagonal_only", "root_column_only"]
+    )
+    def test_one_bad_entry_is_rejected(self, block_rows, bad, where):
+        # one entry, so the matrix is also asymmetric there; the entries
+        # error comes first
+        d = pairwise_distances(np.random.default_rng(5).normal(size=(7, 2)))
+        d[where] = bad
+        for n in (0, 7):
+            block_rows(n)
+            with pytest.raises(ValueError, match="negative or non-finite"):
+                vr_barcode_0d(d)
+
+    def test_asymmetric_and_non_finite_raises_the_entries_error(self, block_rows):
+        # the tree edge (1, 2) holds its key only in row 1, and the Prim loop
+        # never reads the NaN in the last row
+        d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [np.nan, 2.0, 0.0]])
+        block_rows(3)
+        with pytest.raises(ValueError, match="negative or non-finite"):
+            vr_barcode_0d(d)
+        d[2, 0] = 3.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            vr_barcode_0d(d)
+
+    def test_negative_zero_entries_are_accepted(self, block_rows):
+        d = np.full((5, 5), -0.0)
+        np.fill_diagonal(d, 0.0)
+        d[4, 3] = d[3, 4] = 1.0
+        block_rows(5)
+        bc = vr_barcode_0d(d)
+        assert bar_triples(bc) == kruskal_bars(d) == [(0.0, 0, 1), (0.0, 0, 2), (0.0, 0, 3), (0.0, 0, 4)]
+        assert np.signbit(bc.lengths()).all()
+
+    @pytest.mark.parametrize("kind", ["rounded", "continuous"])
+    def test_n600_spans_several_default_blocks(self, kind):
+        n = 600
+        assert persistence._CHUNK_VALUES // n < n // 2
+        x = np.random.default_rng(600).normal(size=(n, 2))
+        d = pairwise_distances(np.round(x, 1) if kind == "rounded" else x)
+        assert bar_triples(vr_barcode_0d(d)) == kruskal_bars(d)
+        d[n - 1, 7] = np.nan
+        with pytest.raises(ValueError, match="negative or non-finite"):
+            vr_barcode_0d(d)

@@ -41,7 +41,7 @@ CHARACTERS = st.one_of(
     st.characters(),
 )
 STRINGS = st.text(CHARACTERS, max_size=8)
-EDGE_FLOATS = [-0.0, 5e-324, 0.1, 1e16, 1e22, 1.7976931348623157e308]
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 0.1, 1e16, 1e22, 1e300, 1.7976931348623157e308]
 EDGE_INTS = [0, -1, 2**63, -(2**63) - 1, 10**30]
 SCALARS = st.one_of(
     STRINGS,
@@ -81,10 +81,16 @@ def test_non_finite_float_raises_value_error(value):
         dump_json({"x": [1, value]})
 
 
-@pytest.mark.parametrize("value", [{1: 2}, (1, 2), {1}, np.int64(1)], ids=["int_key", "tuple", "set", "np_int64"])
+@pytest.mark.parametrize("value", [{1}, np.int64(1), object()], ids=["set", "np_int64", "object"])
 def test_unlisted_types_raise_type_error(value):
     with pytest.raises(TypeError):
         dump_json([value])
+
+
+def test_tuples_write_as_arrays_and_keys_as_strings():
+    # the standard encoder's rules; no caller builds either
+    assert dump_json({"t": (1, (2.5, "x"))}) == '{"t": [1, [2.5, "x"]]}'
+    assert dump_json({1: 2, 0.5: True, None: 3}) == '{"1": 2, "0.5": true, "null": 3}'
 
 
 def test_bools_inside_containers_are_not_ints():
@@ -94,7 +100,38 @@ def test_bools_inside_containers_are_not_ints():
     assert dump_json([True, {"k": False}], indent=1) == '[\n true,\n {\n  "k": false\n }\n]'
 
 
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (0.1, "0.1"),
+        (-0.0, "-0.0"),
+        (0.0, "0.0"),
+        (2.0, "2.0"),
+        (1e300, "1e+300"),
+        (1e16, "1e+16"),
+        (5e-324, "5e-324"),
+        (1 / 3, "0.3333333333333333"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+    ],
+)
+def test_floats_print_as_shortest_round_trip_repr(value, text):
+    assert dump_json([value]) == f"[{text}]"
+    assert dump_json({"x": value}, indent=2) == f'{{\n  "x": {text}\n}}'
+    (back,) = json.loads(dump_json([value]))
+    assert back.hex() == value.hex()
+
+
 def test_float_subclasses_inside_containers_format_like_floats():
-    assert dump_json({"x": np.float64(0.1), "y": [np.float64(-0.0)]}) == '{"x": 0.10000000000000001, "y": [-0]}'
+    values = [0.1, -0.0, 0.0, 1e300, 1 / 3]
+    assert dump_json({"x": [np.float64(v) for v in values]}) == dump_json({"x": values})
+    assert dump_json({"x": np.float64(0.1), "y": [np.float64(-0.0)]}) == '{"x": 0.1, "y": [-0.0]}'
     with pytest.raises(ValueError):
         dump_json({"x": [np.float64(np.inf)]})
+
+
+def test_key_order_and_layouts():
+    payload = {"z": [1, 2.5], "a": {"y": None, "b": 3}, "m": {}, "c": []}
+    assert dump_json(payload) == '{"z": [1, 2.5], "a": {"y": null, "b": 3}, "m": {}, "c": []}'
+    assert dump_json(payload, indent=2) == (
+        '{\n  "z": [\n    1,\n    2.5\n  ],\n  "a": {\n    "y": null,\n    "b": 3\n  },\n  "m": {},\n  "c": []\n}'
+    )
