@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
 
 
 def _train(args) -> int:
-    from .harness import SUMMARY_MIN_RECORDS, ExperimentConfig, run_seed, summarize
+    from .harness import SUMMARY_MIN_RECORDS, ExperimentConfig, _read_training_csv, run_seed, summarize
 
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -159,11 +159,6 @@ def _train(args) -> int:
     if args.regime and isinstance(raw, dict):
         raw["regime"] = _REGIME_FLAGS[args.regime]
     cfg = ExperimentConfig.from_dict(raw)
-    # a relative data.csv names a file beside the config, wherever train runs;
-    # the summary keeps the path as the config wrote it
-    run_cfg = cfg
-    if isinstance(cfg.data, dict):
-        run_cfg = replace(cfg, data={"csv": str(Path(args.config).parent / cfg.data["csv"])})
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,6 +167,11 @@ def _train(args) -> int:
     metrics_paths = [out_dir / f"metrics_seed{seed}.jsonl" for seed in cfg.seeds]
     for path in (summary_path, *metrics_paths):
         path.unlink(missing_ok=True)
+    # a relative data.csv names a file beside the config, wherever train runs;
+    # every seed shares one parse, and the summary keeps the path as the config wrote it
+    run_cfg = cfg
+    if isinstance(cfg.data, dict):
+        run_cfg = replace(cfg, data=_read_training_csv(str(Path(args.config).parent / cfg.data["csv"])))
 
     runs = []
     for seed, metrics_path in zip(cfg.seeds, metrics_paths):

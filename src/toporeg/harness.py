@@ -149,6 +149,8 @@ class ExperimentConfig:
         if isinstance(self.data, BlobSpec):
             self.data.validate()
             return
+        if isinstance(self.data, _TrainingCloud):  # checked as it was read
+            return
         if not (isinstance(self.data, dict) and "csv" in self.data):
             raise ConfigError(f'data: must be a blob spec or {{"csv": path}}, got {self.data!r}')
         for key in self.data:
@@ -222,10 +224,18 @@ def _split(rng: np.random.Generator, n_total: int):
     return perm[:n_train], perm[n_train:]
 
 
-def _load_dataset(cfg: ExperimentConfig, seed: int):
-    if isinstance(cfg.data, BlobSpec):
-        return generate_blobs(seed, **vars(cfg.data))
-    path = cfg.data["csv"]
+@dataclass(eq=False)
+class _TrainingCloud:
+    """A labeled training CSV read once, so that every seed of a ``toporeg
+    train`` run shares one parse: its points, and its labels as 0..C-1 with
+    C >= 2.  The CLI puts one in ``ExperimentConfig.data`` in place of
+    ``{"csv": path}``."""
+
+    points: np.ndarray
+    labels: np.ndarray
+
+
+def _read_training_csv(path: str) -> _TrainingCloud:
     points, labels = load_cloud_csv(path)
     if labels is None:
         raise ConfigError("data: csv file must carry a trailing 'label' column for training")
@@ -234,8 +244,15 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     classes, labels = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ConfigError(f"data: {path}: training needs at least 2 classes, found one label")
+    return _TrainingCloud(points, labels)
+
+
+def _load_dataset(cfg: ExperimentConfig, seed: int):
+    if isinstance(cfg.data, BlobSpec):
+        return generate_blobs(seed, **vars(cfg.data))
+    cloud = cfg.data if isinstance(cfg.data, _TrainingCloud) else _read_training_csv(cfg.data["csv"])
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
-    return points, labels, *_split(rng, points.shape[0])
+    return cloud.points, cloud.labels, *_split(rng, cloud.points.shape[0])
 
 
 def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:

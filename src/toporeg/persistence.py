@@ -28,12 +28,12 @@ entries hold and raises on none, so the entries are checked after it, in
 one pass over blocks of rows that also recovers every endpoint the same
 way, as the smallest-index point that joined earlier at exactly that
 length: each block is checked for negative and non-finite entries, compared
-with the keys, and each row's first hit kept.  Only when the hits do not
-number N - 1 are the rows whose first hit did not join earlier read again.
-Each tree edge must then hold its key in both directions of the matrix, else
-the matrix is rejected as not symmetric, and its bar length is the entry
-d[a, b], a < b, bit for bit.  The N - 1 edges are then sorted by
-(length, i, j), the order in which Kruskal accepts them.
+with the keys, and each row's first hit kept.  Rows whose first hit did not
+join earlier (in a symmetric matrix, only rows that tie) are read again,
+masked to earlier joins.  Each tree edge must then hold its key in both
+directions of the matrix, else the matrix is rejected as not symmetric, and
+its bar length is the entry d[a, b], a < b, bit for bit.  The N - 1 edges
+are then sorted by (length, i, j), the order in which Kruskal accepts them.
 
 A ``Barcode`` stores the bars as three parallel arrays in that order: the
 lengths, and the endpoints ``a`` and ``b`` of each edge with a < b.  Callers
@@ -111,6 +111,10 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
     tree edges only: each must equal the length it joined at in both
     directions.  Either failure raises ``ValueError``, the entries error
     first.  ``d`` is not modified.
+
+    A cloud with many tied distances costs up to O(N^3), as each tied Prim
+    step reads the tied rows: N duplicate points took 0.08, 0.63 and 4.70 s
+    at N = 512, 1024 and 2048 (ROADMAP item 8).
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -149,36 +153,29 @@ def vr_barcode_0d(d: np.ndarray) -> Barcode:
 
     tails = np.array(tails, dtype=np.intp)
     keys = np.array(keys)
-    # Row t hits its head at t's bar length, the root's -1 hits nothing: N - 1
-    # hits are the heads; else the first hit among earlier joins is t's head.
-    # One pass over row blocks checks the entries (min and max propagate NaN,
-    # so they catch NaN, +-inf and negative entries without a mask), counts
-    # the hits and keeps each row's first hit.
+    # One pass over row blocks checks the entries (the reductions propagate
+    # NaN, so they catch NaN, +-inf and negative entries without a mask) and
+    # keeps each row's first hit at its bar length; the root's -1 hits
+    # nothing.  A first hit that joined earlier is the row's head; the other
+    # rows (ties, or a row that misses its key) are read again, masked to
+    # earlier joins.
     bar_len = np.full(n, -1.0)
     bar_len[tails] = keys
     first = np.empty(n, dtype=np.intp)
-    hits = 0
     step = max(1, _CHUNK_VALUES // n)
     for r0 in range(0, n, step):
         r1 = r0 + step
         rows = d[r0:r1]
-        if not (rows.min() >= 0.0 and np.isfinite(rows.max())):
+        if not (np.minimum.reduce(rows, axis=None) >= 0.0 and np.maximum.reduce(rows, axis=None) < np.inf):
             raise ValueError("distance matrix has negative or non-finite entries")
-        hit = rows == bar_len[r0:r1, None]
-        hits += np.count_nonzero(hit)
-        hit.argmax(axis=1, out=first[r0:r1])
-    if hits != n - 1:
-        # Decided on the total, not per block, so that no result depends on
-        # the block size.  A first hit that joined earlier is also the first
-        # earlier hit; only the other rows (the root, ties) are read again,
-        # masked to earlier joins.
-        rank = np.zeros(n, dtype=np.intp)  # join order; the root is 0
-        rank[tails] = np.arange(1, n)
-        late = (rank[first] >= rank).nonzero()[0]
-        for r0 in range(0, late.size, step):
-            block = late[r0 : r0 + step]
-            hit = (d[block] == bar_len[block, None]) & (rank < rank[block, None])
-            first[block] = hit.argmax(axis=1)
+        (rows == bar_len[r0:r1, None]).argmax(axis=1, out=first[r0:r1])
+    rank = np.zeros(n, dtype=np.intp)  # join order; the root is 0
+    rank[tails] = tail_rank = np.arange(1, n)
+    late = tails[rank[first[tails]] >= tail_rank]
+    for r0 in range(0, late.size, step):
+        block = late[r0 : r0 + step]
+        hit = (d[block] == bar_len[block, None]) & (rank < rank[block, None])
+        first[block] = hit.argmax(axis=1)
     heads = first[tails]
     a = np.minimum(heads, tails)
     b = np.maximum(heads, tails)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import toporeg.cli as cli
 from toporeg.cli import main
+from toporeg.cloudfile import load_cloud_csv
 from toporeg.geometry import anisotropy_profile
-from toporeg.harness import ExperimentConfig, RunMetrics
+from toporeg.harness import ExperimentConfig, RunMetrics, run_seed
 
 
 def write_csv(path, text):
@@ -724,6 +725,25 @@ class TestTrainCommand:
         out = tmp_path / "runs"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+    def test_csv_is_read_once_for_all_seeds(self, tmp_path, monkeypatch):
+        data = write_csv(tmp_path / "data.csv", two_class_csv_text())
+        cfg = train_config(tmp_path, data={"csv": data}, seeds=[0, 1])
+        out = tmp_path / "runs"
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_cloud_csv(path)
+
+        monkeypatch.setattr("toporeg.harness.load_cloud_csv", counted)
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert reads == [data]
+        # each seed still draws its own split: the records are run_seed's on the file's path
+        run_cfg = ExperimentConfig.from_dict(json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8")))
+        for seed in (0, 1):
+            lines = (out / f"metrics_seed{seed}.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line) for line in lines] == run_seed(run_cfg, seed).records
 
     @pytest.mark.parametrize("labels", [(0, 2**62), (1, 2)], ids=["huge", "from_one"])
     def test_labels_map_to_consecutive_classes(self, tmp_path, labels):

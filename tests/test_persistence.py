@@ -251,8 +251,10 @@ class TestTieRules:
             [[0.0, 1.0], [2.0, 0.0]],
             # point 2 joins at d[1, 2] = 1, which row 2 holds at no point
             [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 2.0, 0.0]],
+            # point 1 joins at d[0, 1] = 1, but row 1 holds 1 only at the later point 2
+            [[0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
         ],
-        ids=["two_points", "tail_row_misses_its_key"],
+        ids=["two_points", "tail_row_misses_its_key", "only_hit_joined_later"],
     )
     def test_asymmetric_tree_edge_rejected(self, d):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -339,6 +341,15 @@ def barcode_or_error(d):
         return str(exc)
 
 
+def spans(n, a, b) -> bool:
+    """Whether the edges (a[k], b[k]) connect all n points."""
+    component = list(range(n))
+    for i, j in zip(a, b):
+        ci, cj = component[i], component[j]
+        component = [ci if c == cj else c for c in component]
+    return len(set(component)) == 1
+
+
 @pytest.fixture(params=[1, 2, 3], ids=["1_row", "2_rows", "3_rows"])
 def block_rows(request, monkeypatch):
     """Sets the pass after the Prim loop to read this many rows of an N x N
@@ -387,6 +398,29 @@ class TestRowBlocks:
             want = barcode_or_error(d)
             block_rows(n)
             assert barcode_or_error(d) == want
+
+    @pytest.mark.parametrize("rows", [0, 1], ids=["default_blocks", "1_row"])
+    def test_every_small_matrix_over_two_lengths_raises_or_gives_a_spanning_tree(self, monkeypatch, rows):
+        # all 4,160 3 x 3 and 4 x 4 matrices with off-diagonal entries in
+        # {1, 2}, asymmetric ones included: whatever its hits, a row whose
+        # first hit did not join earlier is read again masked to earlier joins
+        raised = 0
+        for n in (3, 4):
+            off = ~np.eye(n, dtype=bool)
+            if rows:
+                monkeypatch.setattr(persistence, "_CHUNK_VALUES", rows * n)
+            for entries in itertools.product([1.0, 2.0], repeat=n * (n - 1)):
+                d = np.zeros((n, n))
+                d[off] = entries
+                try:
+                    bc = vr_barcode_0d(d)
+                except ValueError as exc:
+                    assert "not symmetric" in str(exc)
+                    raised += 1
+                    continue
+                assert bc.lengths().size == n - 1 and spans(n, bc.a.tolist(), bc.b.tolist())
+                assert bc.lengths().tobytes() == d[bc.a, bc.b].tobytes() == d[bc.b, bc.a].tobytes()
+        assert 0 < raised < 4160
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "minus_one"])
     @pytest.mark.parametrize(
