@@ -15,7 +15,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# home module -> the public names it exports, in the order of __all__
+# the module each name loads from -> its public names, in the order of __all__;
+# SelectionMode is defined in model and loads through regularizer, which takes it
 _EXPORTS = {
     "geometry": ("AnisotropyProfile", "anisotropy_profile", "pairwise_distances"),
     "persistence": ("Barcode", "vr_barcode_0d"),

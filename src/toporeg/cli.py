@@ -31,16 +31,17 @@ so a run that stops with exit 2 or 5 leaves only what it wrote.
 
 A command returns EXIT_OK or raises; ``main`` alone turns the exception
 into its exit code and one ``error:`` line on stderr.  Unreadable files
-(OSError), malformed CSVs (CloudParseError) and failed allocations
-(MemoryError, named with the command and the size) map to exit 2, and so
-do invalid configs: ``cmd_train`` re-raises a ConfigError as exit 2, so
-``main`` need not import the training stack.  Every other failure carries
-its own code.
+(OSError) and failed allocations (MemoryError, named with the command and
+the size) map to exit 2, and so do malformed CSVs and invalid configs: the
+commands that read a CSV re-raise a CloudParseError as exit 2, and
+``cmd_train`` a ConfigError, so ``main`` need not import the reader or the
+training stack.  Every other failure carries its own code.
 
-A command imports only the modules it runs.  Every command loads
-cloudfile, geometry and serialize; ``barcode`` adds persistence,
-``entropy`` adds persistence and entropy, and ``train`` adds harness,
-model and regularizer, which load the rest.
+A command imports only the modules it runs.  Every command loads geometry
+and serialize; ``anisotropy`` adds cloudfile, ``barcode`` adds cloudfile
+and persistence, and ``entropy`` adds those and entropy.  ``train`` adds
+harness and model; a regime other than ``none`` adds regularizer, which
+loads persistence and entropy, and ``data.csv`` adds cloudfile.
 
 Set TOPOREG_VERBOSE=1 to get progress lines on stderr during training.
 """
@@ -56,7 +57,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloudfile import CloudParseError, load_cloud_csv
 from .geometry import anisotropy_profile, pairwise_distances
 from .serialize import dump_json, write_jsonl
 
@@ -81,11 +81,22 @@ class _CommandError(Exception):
         self.code = code
 
 
+def _read_csv(read, path):
+    """``read(path)``, a malformed CSV raised as exit 2."""
+    from .cloudfile import CloudParseError
+
+    try:
+        return read(path)
+    except CloudParseError as exc:
+        raise _CommandError(EXIT_PARSE, str(exc)) from None
+
+
 def _barcode(path):
     """The persistence.Barcode of the cloud in a CSV file."""
+    from .cloudfile import load_cloud_csv
     from .persistence import vr_barcode_0d
 
-    points, _ = load_cloud_csv(path)
+    points, _ = _read_csv(load_cloud_csv, path)
     if points.shape[0] < 2:
         raise _CommandError(EXIT_TOO_FEW_POINTS, "need at least 2 points for a barcode")
     try:  # distances beyond float64's range come out inf, which raises here
@@ -128,7 +139,9 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_anisotropy(args) -> int:
-    points, _ = load_cloud_csv(args.input)
+    from .cloudfile import load_cloud_csv
+
+    points, _ = _read_csv(load_cloud_csv, args.input)
     if args.k < 1 or args.k > min(points.shape):
         raise _CommandError(EXIT_BAD_K, f"k must lie in [1, {min(points.shape)}], got {args.k}")
     try:  # the cloud is finite, so only one without a spectrum raises
@@ -171,7 +184,7 @@ def _train(args) -> int:
     # every seed shares one parse, and the summary keeps the path as the config wrote it
     run_cfg = cfg
     if isinstance(cfg.data, dict):
-        run_cfg = replace(cfg, data=_read_training_csv(str(Path(args.config).parent / cfg.data["csv"])))
+        run_cfg = replace(cfg, data=_read_csv(_read_training_csv, str(Path(args.config).parent / cfg.data["csv"])))
 
     runs = []
     for seed, metrics_path in zip(cfg.seeds, metrics_paths):
@@ -236,7 +249,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CommandError as exc:
         code, message = exc.code, str(exc)
-    except (OSError, CloudParseError) as exc:
+    except OSError as exc:
         code, message = EXIT_PARSE, str(exc)
     except MemoryError as exc:  # numpy's message names the size that failed
         code, message = EXIT_PARSE, f"{args.command}: out of memory: {str(exc) or 'allocation failed'}"

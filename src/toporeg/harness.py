@@ -25,10 +25,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cloudfile import load_cloud_csv
 from .geometry import _anisotropy_scores
-from .model import MLP, AdamState, WarmupSchedule, _param_count, adam_step, backward_combined, forward
-from .regularizer import SelectionMode
+from .model import MLP, AdamState, SelectionMode, WarmupSchedule, _param_count, adam_step, backward_combined, forward
 
 # regime name -> the bars the entropy loss runs on; "none" trains without it
 REGIMES = {"none": None, "selected_bars": SelectionMode.SELECTED_BARS, "all_bars": SelectionMode.ALL_BARS}
@@ -236,6 +234,8 @@ class _TrainingCloud:
 
 
 def _read_training_csv(path: str) -> _TrainingCloud:
+    from .cloudfile import load_cloud_csv  # blob data never needs the reader
+
     points, labels = load_cloud_csv(path)
     if labels is None:
         raise ConfigError("data: csv file must carry a trailing 'label' column for training")

@@ -20,11 +20,10 @@ stay clean where the MST structure is stable.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .regularizer import SelectionMode, _labels, per_class_entropy_loss
 
 # Adam's moment decay rates and denominator guard, and the share of all steps
 # spent in linear warmup
@@ -112,6 +111,24 @@ def forward(mlp: MLP, batch: np.ndarray):
     return activations[-1], activations[last], activations
 
 
+class SelectionMode(enum.Enum):
+    """The bars the entropy term runs on: all of them, or the selected features."""
+
+    ALL_BARS = "all_bars"
+    SELECTED_BARS = "selected_bars"
+
+
+def _labels(labels, n: int) -> np.ndarray:
+    """The class labels of n points as int64; raises ValueError unless they
+    are a 1-D array of n integers, so float (and bool) labels never truncate."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.shape != (n,):
+        raise ValueError(f"labels must be a 1-D array of {n} integers, got shape {labels.shape}")
+    return labels.astype(np.int64, copy=False)
+
+
 @dataclass
 class ObjectiveBreakdown:
     ce: float
@@ -130,7 +147,8 @@ def backward_combined(
 
     ``labels`` holds each row's class as an integer index into the logits;
     ``mlp`` holds one parameter vector, and a stack raises ValueError.
-    mode=None disables the entropy term entirely (no persistence code runs).
+    mode=None disables the entropy term entirely and does not import the
+    regularizer, nor the persistence and entropy code it runs.
     Returns (ObjectiveBreakdown, grad) with grad one flat array laid out
     like mlp.params.
     """
@@ -155,6 +173,8 @@ def backward_combined(
     ent = 0.0
     ent_grad = None
     if mode is not None:
+        from .regularizer import per_class_entropy_loss
+
         reg = per_class_entropy_loss(reps, labels, mode)
         ent, ent_grad = reg.value, reg.grad
 

@@ -22,19 +22,14 @@ at every scale: a cloud far from unit scale runs scaled by the range rule's
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import persistent_entropy, select_features
 from .geometry import _points, pairwise_distances
+from .model import SelectionMode, _labels
 from .persistence import vr_barcode_0d
-
-
-class SelectionMode(enum.Enum):
-    ALL_BARS = "all_bars"
-    SELECTED_BARS = "selected_bars"
 
 
 @dataclass
@@ -53,17 +48,6 @@ class EntropyLossGrad:
 def _check_mode(mode) -> None:
     if not isinstance(mode, SelectionMode):
         raise ValueError(f"mode must be a SelectionMode, got {mode!r}")
-
-
-def _labels(labels, n: int) -> np.ndarray:
-    """The class labels of n points as int64; raises ValueError unless they
-    are a 1-D array of n integers, so float (and bool) labels never truncate."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.shape != (n,):
-        raise ValueError(f"labels must be a 1-D array of {n} integers, got shape {labels.shape}")
-    return labels.astype(np.int64, copy=False)
 
 
 def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> EntropyLossGrad:

@@ -393,22 +393,31 @@ print(json.dumps(steps))
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    # a fresh process, since this one shares sys.modules with every other test
+    # fresh processes, since this one shares sys.modules with every other test
+    def loaded_after_each(commands):
+        proc = run_python(["-c", LOADED_MODULES_SCRIPT, json.dumps(commands)])
+        assert proc.returncode == 0, proc.stderr.decode()
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def train(name, **overrides):
+        (tmp_path / name).mkdir()
+        return ["train", "--config", train_config(tmp_path / name, **overrides), "--out", str(tmp_path / name / "runs")]
+
     path = write_csv(tmp_path / "cloud.csv", "0,0\n3,4\n1,1\n")
-    commands = [
-        ["anisotropy", path, "--k", "2"],
-        ["barcode", path],
-        ["entropy", path, "--select", "features"],
-        ["train", "--config", train_config(tmp_path), "--out", str(tmp_path / "runs")],
-    ]
-    proc = run_python(["-c", LOADED_MODULES_SCRIPT, json.dumps(commands)])
-    assert proc.returncode == 0, proc.stderr.decode()
-    steps = json.loads(proc.stdout.splitlines()[-1])
-    every = ["toporeg.cli", "toporeg.cloudfile", "toporeg.geometry", "toporeg.serialize"]
-    barcode = sorted([*every, "toporeg.persistence"])
+    every = ["toporeg.cli", "toporeg.geometry", "toporeg.serialize"]
+    anisotropy = sorted([*every, "toporeg.cloudfile"])
+    barcode = sorted([*anisotropy, "toporeg.persistence"])
     entropy = sorted([*barcode, "toporeg.entropy"])
-    train = sorted([*entropy, "toporeg.harness", "toporeg.model", "toporeg.regularizer"])
-    assert steps == [[], every, barcode, entropy, train]
+    commands = [["anisotropy", path, "--k", "2"], ["barcode", path], ["entropy", path, "--select", "features"]]
+    assert loaded_after_each(commands) == [[], anisotropy, barcode, entropy]
+
+    # blob data under regime none loads no CSV reader and no regularizer
+    data = write_csv(tmp_path / "data.csv", two_class_csv_text())
+    unregularized = sorted([*every, "toporeg.harness", "toporeg.model"])
+    labeled = sorted([*unregularized, "toporeg.cloudfile"])
+    regularized = sorted([*labeled, "toporeg.entropy", "toporeg.persistence", "toporeg.regularizer"])
+    commands = [train("none"), train("csv", data={"csv": data}), train("selected", regime="selected_bars")]
+    assert loaded_after_each(commands) == [[], unregularized, labeled, regularized]
 
 
 # the address space each out-of-memory case may use: room for the
@@ -456,7 +465,7 @@ def test_memory_error_without_a_message_exits_2(monkeypatch, two_point_csv, caps
     def exhausted(path):
         raise MemoryError  # what Python's own allocators raise
 
-    monkeypatch.setattr(cli, "load_cloud_csv", exhausted)
+    monkeypatch.setattr("toporeg.cloudfile.load_cloud_csv", exhausted)
     assert main(["anisotropy", two_point_csv]) == 2
     captured = capsys.readouterr()
     assert_one_error_line(captured)
@@ -736,7 +745,7 @@ class TestTrainCommand:
             reads.append(path)
             return load_cloud_csv(path)
 
-        monkeypatch.setattr("toporeg.harness.load_cloud_csv", counted)
+        monkeypatch.setattr("toporeg.cloudfile.load_cloud_csv", counted)
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert reads == [data]
         # each seed still draws its own split: the records are run_seed's on the file's path

@@ -231,17 +231,19 @@ class TestPerClassLoss:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sum_of_independent_class_losses(self, mode):
+        # each class's result passes through bitwise, also for a class the
+        # range rule rescales while it leaves the others alone
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 3))
         b = rng.normal(size=(5, 3)) + 4.0
-        cloud = np.vstack([a, b])
-        labels = np.array([0] * 5 + [1] * 5)
+        c = rng.normal(size=(5, 3)) * 2.0**300
+        cloud = np.vstack([a, b, c])
+        labels = np.repeat([0, 1, 2], 5)
         combined = per_class_entropy_loss(cloud, labels, mode)
-        ra = entropy_loss_grad(a, mode)
-        rb = entropy_loss_grad(b, mode)
-        assert combined.value == pytest.approx(ra.value + rb.value, abs=1e-12)
-        np.testing.assert_allclose(combined.grad[:5], ra.grad, atol=1e-12)
-        np.testing.assert_allclose(combined.grad[5:], rb.grad, atol=1e-12)
+        ra, rb, rc = (entropy_loss_grad(part, mode) for part in (a, b, c))
+        assert combined.value == ra.value + rb.value + rc.value
+        for rows, sub in zip((slice(0, 5), slice(5, 10), slice(10, 15)), (ra, rb, rc)):
+            assert combined.grad[rows].tobytes() == sub.grad.tobytes()
 
     def test_small_classes_are_skipped(self):
         cloud = random_cloud(9, n=5, dim=2)
@@ -252,13 +254,17 @@ class TestPerClassLoss:
 
     def test_interleaved_labels_scatter_correctly(self):
         rng = np.random.default_rng(10)
-        cloud = rng.normal(size=(8, 2))
-        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        cloud = rng.normal(size=(12, 2))
+        labels = np.tile([0, 1, 2], 4)
+        cloud[labels == 2] *= 2.0**300  # rescaled by the range rule, the other classes not
         res = per_class_entropy_loss(cloud, labels, SelectionMode.ALL_BARS)
-        for c in (0, 1):
+        value = 0.0
+        for c in (0, 1, 2):
             idx = np.flatnonzero(labels == c)
             sub = entropy_loss_grad(cloud[idx], SelectionMode.ALL_BARS)
-            np.testing.assert_allclose(res.grad[idx], sub.grad, atol=1e-12)
+            value += sub.value
+            assert res.grad[idx].tobytes() == sub.grad.tobytes()
+        assert res.value == value
 
     def test_partition_length_mismatch(self):
         with pytest.raises(ValueError, match=re.escape("labels must be a 1-D array of 10 integers, got shape (2,)")):
