@@ -15,17 +15,18 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the module each name loads from -> its public names, in the order of __all__;
-# SelectionMode is defined in model and loads through regularizer, which takes it
-_EXPORTS = {
-    "geometry": ("AnisotropyProfile", "anisotropy_profile", "pairwise_distances"),
-    "persistence": ("Barcode", "vr_barcode_0d"),
-    "entropy": ("SelectionResult", "persistent_entropy", "select_features"),
-    "regularizer": ("EntropyLossGrad", "SelectionMode", "entropy_loss_grad", "per_class_entropy_loss"),
-    "model": ("MLP", "AdamState", "WarmupSchedule", "adam_step", "backward_combined", "forward"),
-    "harness": ("BlobSpec", "ExperimentConfig", "generate_blobs", "run_seed", "summarize"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# (the module that defines each name, its public names), in the order of __all__
+_EXPORTS = (
+    ("geometry", ("AnisotropyProfile", "anisotropy_profile", "pairwise_distances")),
+    ("persistence", ("Barcode", "vr_barcode_0d")),
+    ("entropy", ("SelectionResult", "persistent_entropy", "select_features")),
+    ("regularizer", ("EntropyLossGrad",)),
+    ("model", ("SelectionMode",)),
+    ("regularizer", ("entropy_loss_grad", "per_class_entropy_loss")),
+    ("model", ("MLP", "AdamState", "WarmupSchedule", "adam_step", "backward_combined", "forward")),
+    ("harness", ("BlobSpec", "ExperimentConfig", "generate_blobs", "run_seed", "summarize")),
+)
+_HOME = {name: module for module, names in _EXPORTS for name in names}
 
 __all__ = list(_HOME)
 

@@ -13,18 +13,15 @@ stopped; else the earliest bad row, and for a bad cell also its column.
 
 Two readers share this format.  numpy's C reader (``np.loadtxt``, whose
 float converter calls ``PyOS_string_to_double`` as ``float()`` does) takes
-a file with no ``"`` and no blank line at the top, no line past the field
-size limit, finite cells and rows of the header's width; a label column,
-read as the int64 field of ``[("x", float64, (D,)), ("label", int64)]``,
-also needs an ASCII file (numpy's int64 converter misreads other digits),
-a coordinate column and no negative label.  Every other file, each
-malformed one included, goes through the csv module and one pass over its
-rows, which defines the format and every message; points, labels and
-messages are the same whichever reader runs.  A 2048 x 16 cloud, labeled
-or not, loads in about 9 ms through the C reader and 16 ms through the csv
-module (2-core Xeon, medians of 41 loads).  An input that cannot seek,
-such as a pipe, raises CloudParseError: both readers start at the top of
-the file.
+a label-free file with no ``"`` and no blank line at the top, no line past
+the field size limit, finite cells and rows of the header's width.  Every
+other file, each labeled or malformed one included, goes through the csv
+module and one pass over its rows, which defines the format and every
+message; points and messages are the same whichever reader runs.  A
+2048 x 16 cloud loads in about 9 ms through the C reader and 16 ms through
+the csv module, 17 ms with a label column (2-core Xeon, medians of 41
+loads).  An input that cannot seek, such as a pipe, raises CloudParseError:
+both readers start at the top of the file.
 """
 
 from __future__ import annotations
@@ -71,18 +68,18 @@ def _text(path):
         yield fh
 
 
-def _checked_lines(lines, limit: int, ascii_only: bool):
-    """The lines, raising ValueError at one longer than ``limit`` (the csv
-    module names its row) or, if ``ascii_only``, at a non-ASCII one."""
+def _checked_lines(lines, limit: int):
+    """The lines, raising ValueError at one longer than ``limit``, whose row
+    the csv module names."""
     for line in lines:
-        if len(line) > limit or (ascii_only and not line.isascii()):
+        if len(line) > limit:
             raise ValueError("line the C reader must not parse")
         yield line
 
 
-def _c_reader(path) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """(points, labels) of a file numpy's C reader takes (module docstring),
-    or None for a file the csv module must read."""
+def _c_reader(path) -> tuple[np.ndarray, None] | None:
+    """(points, None) of a label-free file numpy's C reader takes (module
+    docstring), or None for a file the csv module must read."""
     limit = csv.field_size_limit()
     try:
         with _text(path) as fh:
@@ -92,25 +89,21 @@ def _c_reader(path) -> tuple[np.ndarray, np.ndarray | None] | None:
             if len(first) > limit or '"' in first or not "".join(cells).strip():
                 return None
             has_header = not all(_is_float(cell.strip()) for cell in cells)
-            has_labels = has_header and cells[-1].strip().lower() == "label"
-            n_coords = len(cells) - has_labels
-            lines = _checked_lines(fh, limit, ascii_only=has_labels)
+            if has_header and cells[-1].strip().lower() == "label":
+                return None
+            lines = _checked_lines(fh, limit)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # such as "input contained no data"
-                table = np.loadtxt(
+                points = np.loadtxt(
                     lines if has_header else chain([first], lines),
                     delimiter=",",
                     comments=None,  # a "#" cell is a bad cell, not a comment
-                    dtype=[("x", np.float64, (n_coords,)), ("label", np.int64)] if has_labels else np.float64,
-                    ndmin=1 if has_labels else 2,
+                    ndmin=2,
                 )
     except (ValueError, Warning):  # UnicodeDecodeError included: the csv path gives its offset
         return None
-    # copies, so that no view keeps the whole table alive
-    points, labels = map(np.ascontiguousarray, (table["x"], table["label"])) if has_labels else (table, None)
-    # no points: no rows, or a lone label column, which the csv module names
-    taken = points.size and points.shape[1] == n_coords and np.isfinite(points).all()
-    return (points, labels) if taken and (labels is None or (labels >= 0).all()) else None
+    taken = points.size and points.shape[1] == len(cells) and np.isfinite(points).all()
+    return (points, None) if taken else None
 
 
 def _csv_reader(path) -> tuple[np.ndarray, np.ndarray | None]:

@@ -238,7 +238,7 @@ def _read_training_csv(path: str) -> _TrainingCloud:
 
     points, labels = load_cloud_csv(path)
     if labels is None:
-        raise ConfigError("data: csv file must carry a trailing 'label' column for training")
+        raise ConfigError(f"data: {path}: csv file must carry a trailing 'label' column for training")
     # the output layer has one unit per class, so labels become 0..C-1 in
     # ascending order whatever their values
     classes, labels = np.unique(labels, return_inverse=True)

@@ -1,5 +1,8 @@
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -59,6 +62,19 @@ def test_dir_lists_every_public_name_before_it_loads(monkeypatch):
             monkeypatch.delattr(toporeg, name)
     assert set(toporeg.__all__) <= set(dir(toporeg))
     assert "__version__" in dir(toporeg)
+
+
+def test_selection_mode_loads_only_the_module_that_defines_it():
+    # a fresh process, since this one shares sys.modules with every other test
+    src = str(Path(toporeg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import json, sys, toporeg; toporeg.SelectionMode; "
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('toporeg.'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == ["toporeg.model"]
 
 
 def test_an_unknown_name_raises_attribute_error():

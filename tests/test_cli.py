@@ -726,7 +726,7 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         captured = capsys.readouterr()
         assert_one_error_line(captured)
-        assert captured.err.startswith("error: data: csv file must carry a trailing 'label' column")
+        assert captured.err.startswith(f"error: data: {data}: csv file must carry a trailing 'label' column")
 
     def test_csv_dataset_via_config(self, tmp_path):
         data = write_csv(tmp_path / "data.csv", two_class_csv_text())
@@ -754,7 +754,9 @@ class TestTrainCommand:
             lines = (out / f"metrics_seed{seed}.jsonl").read_text(encoding="utf-8").splitlines()
             assert [json.loads(line) for line in lines] == run_seed(run_cfg, seed).records
 
-    @pytest.mark.parametrize("labels", [(0, 2**62), (1, 2)], ids=["huge", "from_one"])
+    @pytest.mark.parametrize(
+        "labels", [(0, 2**62), (1, 2), ("\u0660", "\u0661")], ids=["huge", "from_one", "arabic_indic"]
+    )
     def test_labels_map_to_consecutive_classes(self, tmp_path, labels):
         metrics = []
         for name, csv_labels in (("orig", (0, 1)), ("relabeled", labels)):

@@ -112,9 +112,15 @@ class TestBulkParse:
         path.write_text(text, encoding="utf-8", newline="")
         assert_matches_oracle(path)
 
-    def test_errors_start_with_the_path(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        # numpy's C reader parses the label-free file and must decline its inf
+        ["x,y,label\n1,2,0\n3,inf,1\n4,oops,1\n", "x,y\n1,2\n3,inf\n4,5\n"],
+        ids=["labeled", "label_free"],
+    )
+    def test_errors_start_with_the_path(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text("x,y,label\n1,2,0\n3,inf,1\n4,oops,1\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(CloudParseError) as info:
             load_cloud_csv(path)
         assert str(info.value) == f"{path}: non-finite coordinate 'inf' (row 3, column 2)"
@@ -161,10 +167,10 @@ class TestTwoReaders:
         texts = {
             # no label column, no quote: numpy's C reader
             "plain": [header, *rows] if header else rows,
-            # an ASCII file with a label column: numpy's C reader, structured dtype
+            # a label column: the csv module
             "labeled": [
                 labeled_header,
-                *([*(cell.replace("\xa0", " ") for cell in row), str(r)] for r, row in enumerate(rows)),
+                *([*row, str(r)] for r, row in enumerate(rows)),
             ],
             # every cell quoted: the csv module
             "quoted": [[f'"{cell}"' for cell in row] for row in ([header, *rows] if header else rows)],
@@ -174,7 +180,7 @@ class TestTwoReaders:
         for name, lines in texts.items():
             path = base / f"{name}.csv"
             path.write_text(bom + ending.join(map(",".join, lines)) + ending, encoding="utf-8", newline="")
-            assert (cloudfile._c_reader(path) is None) == (name == "quoted")
+            assert (cloudfile._c_reader(path) is None) == (name != "plain")
             got[name] = load_cloud_csv(path)
         assert got["plain"][1] is None and got["quoted"][1] is None
         labels = got["labeled"][1]
@@ -185,35 +191,33 @@ class TestTwoReaders:
 
 
 class TestLabelCells:
-    """Label cells at the edges of what numpy's int64 converter and int()
-    accept; the reader that takes the file is pinned along with the result."""
+    """Label cells at the edges of what int() accepts, each read by the csv
+    module, since numpy's C reader declines every labeled file."""
 
     @pytest.mark.parametrize(
-        "label, reader",
+        "label",
         [
-            (" 3 ", "c"),
-            ("+3", "c"),
-            ("007", "c"),
-            ("-0", "c"),
-            ("3\x1c", "c"),
-            ("9223372036854775807", "c"),
-            # numpy refuses these
-            ("1_0", "csv"),
-            ("9223372036854775808", "csv"),
-            ("1.0", "csv"),
-            # numpy parses this, and the C reader declines a negative label
-            ("-1", "csv"),
-            # non-ASCII: numpy's int64 converter would read "\u01fe" as a digit worth 462
-            ("\u0663", "csv"),
-            ("\xa03", "csv"),
-            ("\u01fe", "csv"),
-            ("1\u01fe2", "csv"),
+            " 3 ",
+            "+3",
+            "007",
+            "-0",
+            "3\x1c",
+            "9223372036854775807",
+            "1_0",
+            "9223372036854775808",
+            "1.0",
+            "-1",
+            # non-ASCII: a digit int() reads, padding strip() drops, a letter alone and between digits
+            "\u0663",
+            "\xa03",
+            "\u01fe",
+            "1\u01fe2",
         ],
     )
-    def test_matches_per_cell_oracle(self, tmp_path, label, reader):
+    def test_matches_per_cell_oracle(self, tmp_path, label):
         path = tmp_path / "cloud.csv"
         path.write_text(f"x,y,label\n1,2,0\n3,4,{label}\n5,6,1\n", encoding="utf-8", newline="")
-        assert (cloudfile._c_reader(path) is None) == (reader == "csv")
+        assert cloudfile._c_reader(path) is None
         assert_matches_oracle(path)
 
     def test_lone_label_column_has_no_coordinates(self, tmp_path):
