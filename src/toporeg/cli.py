@@ -52,7 +52,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -181,14 +181,14 @@ def _train(args) -> int:
     for path in (summary_path, *metrics_paths):
         path.unlink(missing_ok=True)
     # a relative data.csv names a file beside the config, wherever train runs;
-    # every seed shares one parse, and the summary keeps the path as the config wrote it
-    run_cfg = cfg
+    # every seed shares one parse
+    cloud = None
     if isinstance(cfg.data, dict):
-        run_cfg = replace(cfg, data=_read_csv(_read_training_csv, str(Path(args.config).parent / cfg.data["csv"])))
+        cloud = _read_csv(_read_training_csv, str(Path(args.config).parent / cfg.data["csv"]))
 
     runs = []
     for seed, metrics_path in zip(cfg.seeds, metrics_paths):
-        run = run_seed(run_cfg, seed)
+        run = run_seed(cfg, seed, cloud)
         lines = list(run.records)
         if run.diverged:
             lines.append({"step": len(run.records) + 1, "diverged": True})

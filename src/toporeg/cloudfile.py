@@ -131,22 +131,21 @@ def _csv_reader(path) -> tuple[np.ndarray, np.ndarray | None]:
     if not rows:
         raise CloudParseError(f"{path}: no data rows")
 
-    header = None
-    if any(not _is_float(cell.strip()) for cell in rows[0]):
-        header = [cell.strip() for cell in rows[0]]
+    # the first row fixes the column count, header or not; a "label" cell
+    # is never a number, so it makes the row a header
+    width = len(rows[0])
+    has_header = not all(_is_float(cell.strip()) for cell in rows[0])
+    has_labels = rows[0][-1].strip().lower() == "label"
+    if has_header:
         rows = rows[1:]
         if not rows:
             raise CloudParseError(f"{path}: header only, no data rows")
-
-    has_labels = header is not None and header and header[-1].lower() == "label"
-    # a header fixes the column count; without one, the first row does
-    width = len(header) if header else len(rows[0])
     n_coords = width - 1 if has_labels else width
     # the cells keep their strip(): float() and int() do not skip the
     # \x1c-\x1f separators that str.strip() removes
     values, labels = [], []
     extend, isfinite = values.extend, math.isfinite  # the loop runs once per row
-    for r, row in enumerate(rows, start=2 if header else 1):
+    for r, row in enumerate(rows, start=2 if has_header else 1):
         if len(row) != width:
             raise CloudParseError(f"{path}: expected {width} columns, found {len(row)}", row=r)
         if not n_coords:

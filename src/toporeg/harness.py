@@ -108,7 +108,7 @@ class BlobSpec:
 
 @dataclass
 class ExperimentConfig:
-    """A training experiment; ``data`` is a BlobSpec or ``{"csv": path}``, as the config file writes it."""
+    """A training experiment; ``data`` is a BlobSpec or ``{"csv": path}``."""
 
     regime: str = "selected_bars"
     base_lr: float = 5e-3
@@ -146,8 +146,6 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_dims: must be a nonempty list of positive integers, got {self.hidden_dims!r}")
         if isinstance(self.data, BlobSpec):
             self.data.validate()
-            return
-        if isinstance(self.data, _TrainingCloud):  # checked as it was read
             return
         if not (isinstance(self.data, dict) and "csv" in self.data):
             raise ConfigError(f'data: must be a blob spec or {{"csv": path}}, got {self.data!r}')
@@ -222,18 +220,8 @@ def _split(rng: np.random.Generator, n_total: int):
     return perm[:n_train], perm[n_train:]
 
 
-@dataclass(eq=False)
-class _TrainingCloud:
-    """A labeled training CSV read once, so that every seed of a ``toporeg
-    train`` run shares one parse: its points, and its labels as 0..C-1 with
-    C >= 2.  The CLI puts one in ``ExperimentConfig.data`` in place of
-    ``{"csv": path}``."""
-
-    points: np.ndarray
-    labels: np.ndarray
-
-
-def _read_training_csv(path: str) -> _TrainingCloud:
+def _read_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(points, labels) of a labeled training CSV, labels as 0..C-1 with C >= 2."""
     from .cloudfile import load_cloud_csv  # blob data never needs the reader
 
     points, labels = load_cloud_csv(path)
@@ -244,15 +232,15 @@ def _read_training_csv(path: str) -> _TrainingCloud:
     classes, labels = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ConfigError(f"data: {path}: training needs at least 2 classes, found one label")
-    return _TrainingCloud(points, labels)
+    return points, labels
 
 
-def _load_dataset(cfg: ExperimentConfig, seed: int):
+def _load_dataset(cfg: ExperimentConfig, seed: int, cloud=None):
     if isinstance(cfg.data, BlobSpec):
         return generate_blobs(seed, **vars(cfg.data))
-    cloud = cfg.data if isinstance(cfg.data, _TrainingCloud) else _read_training_csv(cfg.data["csv"])
+    points, labels = cloud if cloud is not None else _read_training_csv(cfg.data["csv"])
     rng = np.random.default_rng([seed, _STREAM_DATA_SPLIT])
-    return cloud.points, cloud.labels, *_split(rng, cloud.points.shape[0])
+    return points, labels, *_split(rng, points.shape[0])
 
 
 def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
@@ -276,10 +264,15 @@ def _evaluate(mlp: MLP, val_x, val_y) -> list[dict]:
 # overflow leaves inf or nan in the blobs, the loss or a parameter, which
 # run_seed reports; numpy's warnings would only repeat that
 @np.errstate(over="ignore", invalid="ignore")
-def run_seed(cfg: ExperimentConfig, seed: int) -> RunMetrics:
+def run_seed(cfg: ExperimentConfig, seed: int, cloud: tuple[np.ndarray, np.ndarray] | None = None) -> RunMetrics:
     """Train one seed to completion, or to the first step whose loss or
-    updated parameters are not finite (divergence), and log every step."""
-    x, y, train_idx, val_idx = _load_dataset(cfg, seed)
+    updated parameters are not finite (divergence), and log every step.
+
+    ``cloud`` is the ``(points, labels)`` pair ``_read_training_csv`` gives
+    for ``cfg.data["csv"]``, so that seeds can share one parse; it is used
+    only when ``cfg.data`` is a CSV config, and the file is read here only
+    when ``cloud`` is not given."""
+    x, y, train_idx, val_idx = _load_dataset(cfg, seed, cloud)
     if val_idx.size < 2 or train_idx.size < cfg.batch_size:
         raise ConfigError("data: dataset too small for the requested batch size and split")
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -117,3 +118,10 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+def test_readme_config_schema_shows_the_defaults():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"^Config schema.*?^```json\n(.*?)^```", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    schema = json.loads(re.sub(r"\s*//.*$", "", block.group(1), flags=re.M))
+    assert schema == dataclasses.asdict(toporeg.ExperimentConfig())

@@ -671,7 +671,7 @@ class TestTrainCommand:
         cfg = train_config(tmp_path)
         out = tmp_path / "runs"
 
-        def fake_run_seed(config, seed):
+        def fake_run_seed(config, seed, cloud):
             records = [{"step": i + 1, "ce": 1.0, "ent": 0.0, "total": 1.0} for i in range(4)]
             return RunMetrics(seed=seed, records=records, diverged=True)
 
