@@ -120,12 +120,14 @@ class SelectionMode(enum.Enum):
 
 def _labels(labels, n: int) -> np.ndarray:
     """The class labels of n points as int64; raises ValueError unless they
-    are a 1-D array of n integers, so float (and bool) labels never truncate."""
+    are a 1-D array of n integers int64 holds, so none truncates or wraps."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (n,):
         raise ValueError(f"labels must be a 1-D array of {n} integers, got shape {labels.shape}")
+    if labels.dtype.kind == "u" and n and (top := int(labels[labels.argmax()])) > np.iinfo(np.int64).max:
+        raise ValueError(f"labels must fit in int64, got {top}")
     return labels.astype(np.int64, copy=False)
 
 

@@ -18,6 +18,11 @@ points) are skipped: they add nothing to the value, and their direction is
 0/0.  Nothing is clamped, so scaling the cloud by c scales the gradient by 1/c
 at every scale: a cloud far from unit scale runs scaled by the range rule's
 2**-e (``geometry._range_exponent``), and its gradient is scaled back.
+
+The per-class loss partitions a batch with one stable sort of its labels:
+classes come in ascending label order, each with its rows in index order.
+Nothing here imports more of numpy than an unregularized run does (np.unique,
+for one, would load numpy.ma).
 """
 
 from __future__ import annotations
@@ -63,10 +68,12 @@ def entropy_loss_grad(x, mode: SelectionMode = SelectionMode.ALL_BARS) -> Entrop
     barcode = vr_barcode_0d(pairwise_distances(x))
     lengths, a, b = barcode.lengths(), barcode.a, barcode.b
     if mode is SelectionMode.SELECTED_BARS:
-        active = select_features(lengths).selected
+        active = np.array(select_features(lengths).selected, dtype=np.intp)
         lengths, a, b = lengths[active], a[active], b[active]
-    positive = lengths > 0.0
-    lengths, a, b = lengths[positive], a[positive], b[positive]
+    # the bars are in ascending length order, which the selection's ascending
+    # indices keep, so the zero-length ones lead
+    first = int(np.searchsorted(lengths, 0.0, side="right"))
+    lengths, a, b = lengths[first:], a[first:], b[first:]
 
     grad = np.zeros_like(x)
     if not lengths.size:
@@ -100,26 +107,36 @@ def per_class_entropy_loss(
 ) -> EntropyLossGrad:
     """Sum of per-class entropy losses, gradients scattered to full layout.
 
-    ``labels`` gives each point's class as an integer; classes run in
-    ascending label order, and those with fewer than 2 points are skipped.
-    Applying the loss per class keeps distinct clusters apart: only
-    distances *within* a label group generate gradients.  The whole N x D
-    cloud is checked once, so a non-finite coordinate raises ValueError
-    even in a skipped class.
+    ``labels`` gives each point's class as an integer.  One stable sort of
+    the labels partitions the rows: classes run in ascending label order,
+    each class's rows in index order, and classes with fewer than 2 points
+    are skipped.  Applying the loss per class keeps distinct clusters apart:
+    only distances *within* a label group generate gradients.  The whole
+    N x D cloud is checked once, so a non-finite coordinate raises
+    ValueError even in a skipped class.
     """
     _check_mode(mode)
     x, _ = _points(x)
     labels = _labels(labels, x.shape[0])
+    order = labels.argsort(kind="stable")
+    ranked = labels[order]
+    starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    bounds = [0, *starts.tolist(), ranked.size]
+    cloud = x[order]
+    # each class's rows are contiguous in sorted order; entropy_loss_grad
+    # never returns -0.0 (its entries are sums that start at +0.0), so
+    # writing them into the zeroed buffer gives the bits adding them would
+    sorted_grad = np.zeros_like(cloud)
     total = 0.0
-    grad = np.zeros_like(x)
     any_active = False
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        if idx.size < 2:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < 2:
             continue
-        sub = entropy_loss_grad(x[idx], mode)
+        sub = entropy_loss_grad(cloud[lo:hi], mode)
         total += sub.value
-        grad[idx] += sub.grad
+        sorted_grad[lo:hi] = sub.grad
         if not sub.degenerate:
             any_active = True
+    grad = np.empty_like(x)
+    grad[order] = sorted_grad
     return EntropyLossGrad(value=total, grad=grad, degenerate=not any_active)

@@ -375,12 +375,13 @@ def test_unseekable_input_exits_2_naming_the_path(argv):
     ]
 
 
-# Prints, as the last line, the toporeg modules loaded after `import toporeg`
-# and after each command of the JSON list in argv[1], run in turn.
+# Prints, as the last line, the toporeg and numpy.ma modules loaded after
+# `import toporeg` and after each command of the JSON list in argv[1], run in
+# turn.
 LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("toporeg."))
+    return sorted(name for name in sys.modules if name.startswith(("toporeg.", "numpy.ma.")) or name == "numpy.ma")
 import toporeg
 steps = [loaded()]
 from toporeg import cli
@@ -411,13 +412,19 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     commands = [["anisotropy", path, "--k", "2"], ["barcode", path], ["entropy", path, "--select", "features"]]
     assert loaded_after_each(commands) == [[], anisotropy, barcode, entropy]
 
-    # blob data under regime none loads no CSV reader and no regularizer
+    # blob data under regime none loads no CSV reader and no regularizer; no
+    # command loads numpy.ma, which none of them uses
     data = write_csv(tmp_path / "data.csv", two_class_csv_text())
     unregularized = sorted([*every, "toporeg.harness", "toporeg.model"])
     labeled = sorted([*unregularized, "toporeg.cloudfile"])
     regularized = sorted([*labeled, "toporeg.entropy", "toporeg.persistence", "toporeg.regularizer"])
-    commands = [train("none"), train("csv", data={"csv": data}), train("selected", regime="selected_bars")]
-    assert loaded_after_each(commands) == [[], unregularized, labeled, regularized]
+    commands = [
+        train("none"),
+        train("csv", data={"csv": data}),
+        train("selected", regime="selected_bars"),
+        train("all", regime="all_bars"),
+    ]
+    assert loaded_after_each(commands) == [[], unregularized, labeled, regularized, regularized]
 
 
 # the address space each out-of-memory case may use: room for the

@@ -252,16 +252,35 @@ class TestPerClassLoss:
         np.testing.assert_array_equal(res.grad, 0.0)
         assert res.degenerate
 
-    def test_interleaved_labels_scatter_correctly(self):
-        rng = np.random.default_rng(10)
-        cloud = rng.normal(size=(12, 2))
-        labels = np.tile([0, 1, 2], 4)
-        cloud[labels == 2] *= 2.0**300  # rescaled by the range rule, the other classes not
-        res = per_class_entropy_loss(cloud, labels, SelectionMode.ALL_BARS)
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.tile([0, 1, 2], 4),
+            # unsorted, negative and sparse, with the singleton class 5
+            np.array([7, -2, 7, 40, -2, 7, 3, 40, 3, -2, 7, 40, 5]),
+            np.array([2, 0, 2, 1, 0, 1, 2, 0, 1, 1], dtype=np.int32),
+            np.array([200, 3, 3, 200, 9, 200, 3, 9, 9], dtype=np.uint8),
+        ],
+        ids=["tiled", "sparse", "int32", "uint8"],
+    )
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_labels_scatter_correctly(self, labels, mode):
+        # each class's rows, in index order, climb a ladder of 2 x 1 rungs;
+        # the MST takes one of two tied rungs by row index, so a class whose
+        # rows were reordered gets another gradient
+        cloud = np.empty((labels.size, 2))
+        for c in np.unique(labels):
+            k = np.arange(np.count_nonzero(labels == c))
+            cloud[labels == c] = np.column_stack([2.0 * (k % 2), k // 2])
+        cloud[labels == labels.max()] *= 2.0**300  # rescaled by the range rule, the other classes not
+        res = per_class_entropy_loss(cloud, labels, mode)
         value = 0.0
-        for c in (0, 1, 2):
+        for c in np.unique(labels):  # ascending label order
             idx = np.flatnonzero(labels == c)
-            sub = entropy_loss_grad(cloud[idx], SelectionMode.ALL_BARS)
+            if idx.size < 2:
+                np.testing.assert_array_equal(res.grad[idx], 0.0)
+                continue
+            sub = entropy_loss_grad(cloud[idx], mode)
             value += sub.value
             assert res.grad[idx].tobytes() == sub.grad.tobytes()
         assert res.value == value
@@ -287,6 +306,16 @@ class TestPerClassLoss:
         # an integer cast would train [0, 0, 1.7, 1.2] as [0, 0, 1, 1]
         with pytest.raises(ValueError, match="labels must be integers"):
             per_class_entropy_loss(random_cloud(0, n=4), labels)
+
+    @pytest.mark.parametrize("top", [2**63, 2**64 - 1])
+    def test_unsigned_labels_beyond_int64_rejected(self, top):
+        # an int64 cast would wrap top to a negative label, whose class would
+        # then run first, out of ascending order
+        labels = np.array([0, 0, top, top], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"labels must fit in int64, got {top}"):
+            per_class_entropy_loss(random_cloud(0, n=4), labels)
+        labels[2:] = 2**63 - 1  # the largest label int64 holds is fine
+        per_class_entropy_loss(random_cloud(0, n=4), labels)
 
     def test_labels_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
