@@ -1,9 +1,9 @@
 """toporeg: persistent-entropy regularization for point-cloud representations.
 
-Compute 0-dimensional Vietoris-Rips barcodes, persistent entropy, and
-topological feature selection; differentiate the entropy through the point
-coordinates; track latent anisotropy; and train a small classifier whose
-objective trades cross-entropy against per-class persistent entropy.
+The package root holds the paper's concepts: pairwise distances, the 0-dim
+Vietoris-Rips barcode, persistent entropy with feature selection, the entropy
+loss with its gradient, and anisotropy.  The classifier and the experiment
+harness are imported from ``toporeg.model`` and ``toporeg.harness``.
 
 Importing the package loads none of its modules.  A public name loads its
 home module on first access (a module ``__getattr__``, PEP 562) and is then
@@ -15,18 +15,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-# (the module that defines each name, its public names), in the order of __all__
-_EXPORTS = (
-    ("geometry", ("AnisotropyProfile", "anisotropy_profile", "pairwise_distances")),
-    ("persistence", ("Barcode", "vr_barcode_0d")),
-    ("entropy", ("SelectionResult", "persistent_entropy", "select_features")),
-    ("regularizer", ("EntropyLossGrad",)),
-    ("model", ("SelectionMode",)),
-    ("regularizer", ("entropy_loss_grad", "per_class_entropy_loss")),
-    ("model", ("MLP", "AdamState", "WarmupSchedule", "adam_step", "backward_combined", "forward")),
-    ("harness", ("BlobSpec", "ExperimentConfig", "generate_blobs", "run_seed", "summarize")),
-)
-_HOME = {name: module for module, names in _EXPORTS for name in names}
+# the module that defines each name: its public names, in the order of __all__
+_EXPORTS = {
+    "geometry": ("AnisotropyProfile", "anisotropy_profile", "pairwise_distances"),
+    "persistence": ("Barcode", "vr_barcode_0d"),
+    "entropy": ("SelectionResult", "persistent_entropy", "select_features"),
+    "model": ("SelectionMode",),
+    "regularizer": ("EntropyLossGrad", "entropy_loss_grad", "per_class_entropy_loss"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)
 

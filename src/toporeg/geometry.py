@@ -184,15 +184,17 @@ def anisotropy_profile(m, k_max: int | None = None, centered: bool = False) -> A
     which changes no score, in the stacked core, whose values are bitwise
     those of a single-spectrum eigensolve.  Singular values within rounding
     noise of the input count as zero.  Raises ValueError unless m is a finite,
-    nonempty 2-D array, and when the requested variant has no singular value
-    left (every entry zero, or every row equal for ``centered``).
+    nonempty 2-D array and k_max an int in [1, min(m.shape)], and when the
+    requested variant has no singular value left (every entry zero, or every
+    row equal for ``centered``).
     """
     m, _ = _points(m)
     rank_bound = min(m.shape)
     if k_max is None:
         k_max = rank_bound
-    if not 1 <= k_max <= rank_bound:
-        raise ValueError(f"k_max must lie in [1, {rank_bound}], got {k_max}")
+    integral = isinstance(k_max, (int, np.integer)) and not isinstance(k_max, bool)
+    if not (integral and 1 <= k_max <= rank_bound):
+        raise ValueError(f"k_max must be an integer in [1, {rank_bound}], got {k_max!r}")
     scores = _anisotropy_scores(m[None])[0, 1 if centered else 0]
     if not scores[0]:
         raise ValueError("anisotropy undefined: matrix has no singular value above rounding noise")

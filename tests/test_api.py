@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import toporeg
+from toporeg import harness
 
 PUBLIC_NAMES = [
     "AnisotropyProfile",
@@ -21,21 +23,16 @@ PUBLIC_NAMES = [
     "SelectionResult",
     "persistent_entropy",
     "select_features",
-    "EntropyLossGrad",
     "SelectionMode",
+    "EntropyLossGrad",
     "entropy_loss_grad",
     "per_class_entropy_loss",
-    "MLP",
-    "AdamState",
-    "WarmupSchedule",
-    "adam_step",
-    "backward_combined",
-    "forward",
-    "BlobSpec",
-    "ExperimentConfig",
-    "generate_blobs",
-    "run_seed",
-    "summarize",
+]
+
+# the training loop and the experiment harness: imported from their modules, not the root
+MODULE_ONLY_NAMES = [
+    *[("model", name) for name in ("MLP", "AdamState", "WarmupSchedule", "adam_step", "backward_combined", "forward")],
+    *[("harness", name) for name in ("BlobSpec", "ExperimentConfig", "generate_blobs", "run_seed", "summarize")],
 ]
 
 
@@ -76,6 +73,15 @@ def test_selection_mode_loads_only_the_module_that_defines_it():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout) == ["toporeg.model"]
+
+
+@pytest.mark.parametrize("module, name", MODULE_ONLY_NAMES)
+def test_training_and_harness_names_are_not_exported_at_the_root(module, name):
+    with pytest.raises(AttributeError, match=f"'toporeg' has no attribute '{name}'"):
+        getattr(toporeg, name)
+    assert name not in dir(toporeg)
+    home = importlib.import_module(f"toporeg.{module}")
+    assert getattr(home, name).__module__ == home.__name__
 
 
 def test_an_unknown_name_raises_attribute_error():
@@ -124,4 +130,12 @@ def test_readme_config_schema_shows_the_defaults():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     block = re.search(r"^Config schema.*?^```json\n(.*?)^```", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
     schema = json.loads(re.sub(r"\s*//.*$", "", block.group(1), flags=re.M))
-    assert schema == dataclasses.asdict(toporeg.ExperimentConfig())
+    assert schema == dataclasses.asdict(harness.ExperimentConfig())
+
+
+def test_readme_lists_exactly_the_public_names():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    exports = re.search(r"The package root exports(.*?);", readme, flags=re.S)
+    assert set(re.findall(r"`(\w+)`", exports.group(1))) == set(toporeg.__all__)
+    count = re.search(r"each of these (\d+)\s+names", readme)
+    assert int(count.group(1)) == len(toporeg.__all__)

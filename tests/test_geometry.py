@@ -270,6 +270,10 @@ class TestAnisotropy:
             anisotropy_profile(np.ones((3, 2)), k_max=3)
         with pytest.raises(ValueError):
             anisotropy_profile(np.ones((3, 2)), k_max=0)
+        with pytest.raises(ValueError):
+            anisotropy_profile(np.ones((3, 2)), k_max=2.0)
+        with pytest.raises(ValueError):
+            anisotropy_profile(np.ones((3, 2)), k_max=True)
 
     def test_zero_matrix_is_undefined(self):
         with pytest.raises(ValueError):
