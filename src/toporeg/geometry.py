@@ -14,12 +14,13 @@ eigenvalues of the covariance matrix.
 
 Pairwise distances are computed in strips of at least 64 rows (the last
 may be shorter).  A strip fills its own square and everything right of it
-directly, in blocks of rows whose differences come from a row-repeated copy
-minus the contiguous columns, so numpy subtracts in long inner loops.  Each
-strip is then mirrored below itself in one transposed copy; the mirror is
-exact, so the matrix is exactly symmetric.  A cloud far from unit scale is
-filled rescaled by an exact power of two (the range rule, which ``entropy``
-and ``regularizer`` share) and the matrix scaled back, so its squared
+directly, in tiles of at most 2**17 differences (1 MB) whatever D, each a
+row-repeated copy minus the contiguous columns, so numpy subtracts in long
+inner loops; memory is the N x N matrix plus one tile.  Each strip is then
+mirrored below itself in one transposed copy; the mirror is exact, so the
+matrix is exactly symmetric.  A cloud far from unit scale is filled
+rescaled by an exact power of two (the range rule, which ``entropy`` and
+``regularizer`` share) and the matrix scaled back, so its squared
 differences neither underflow nor overflow.
 
 Singular values are computed from the Gram matrices of the smaller side,
@@ -43,11 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pairwise_distances fills max(1, PAIRS_PER_SLICE // N) rows at a time (a
-# single row once N exceeds this); each block's row-repeated difference copy
-# holds at most about PAIRS_PER_SLICE x D values: 1 MB at D = 16 for N up to
-# PAIRS_PER_SLICE, one row of N x D values beyond
-PAIRS_PER_SLICE = 8192
+# a tile of pairwise_distances holds at most this many differences (1 MB)
+# unless one pair's D exceeds it; at D = 16 and N <= 8192 each block of
+# 8192 // N rows is one tile
+_TILE_VALUES = 1 << 17
 # blocks are grouped into strips of at least this many rows, each mirrored
 # below the diagonal in one transposed copy.  Mirroring a 2048 x 2048 matrix
 # took 21 ms in 4-row strips, 6.4 in 32, 4.6 in 64, 5.0 in 128 and 11 in 256
@@ -93,18 +93,19 @@ def _points(x) -> tuple[np.ndarray, int]:
 def pairwise_distances(x) -> np.ndarray:
     """Euclidean distance matrix of an N x D point cloud.
 
-    Rows are filled in blocks of ``max(1, PAIRS_PER_SLICE // N)``, grouped
-    into strips of at least ``_STRIP_ROWS`` rows.  Block [lo, hi) of strip
-    [s0, s1) computes columns s0: directly, its part of the strip's square
-    included; after the strip, its rows are mirrored below it into columns
-    s0:s1, so each pair outside the strips' squares is computed once.  A
-    block repeats each of its rows once per column (one copy of at most
-    about PAIRS_PER_SLICE x D values, 1 MB at D = 16) and subtracts the
-    contiguous points s0: from it in place.  Every entry sums its squared
-    coordinate differences in the same fixed order, and a - b = -(b - a)
-    exactly in IEEE arithmetic, so the result is exactly symmetric with a
-    zero diagonal, bitwise equal to computing both triangles, and bitwise
-    deterministic.
+    Rows are filled in blocks of ``rows = max(1, _TILE_VALUES // (N * D))``
+    in strips of at least ``_STRIP_ROWS`` rows.  Block [lo, hi) of strip
+    [s0, s1) computes columns s0: directly, in tiles of
+    ``max(1, _TILE_VALUES // (rows * D))`` columns; after the strip, its
+    rows are mirrored below it into columns s0:s1, so each pair outside the
+    strips' squares is computed once.  A tile [c0, c1) repeats the block's
+    rows once per column (at most ``_TILE_VALUES`` values unless D exceeds
+    it), subtracts the points c0:c1 in place and is freed before the next:
+    memory is the matrix plus one tile whatever D is.  Every entry sums its
+    squared coordinate differences in the same fixed order, and a - b =
+    -(b - a) exactly in IEEE arithmetic, so the result is exactly symmetric
+    with a zero diagonal, bitwise equal to computing both triangles, and
+    bitwise deterministic.
 
     A cloud whose max|x| is 2**256 or more, or nonzero and below 2**-257,
     is filled on x * 2**-e (the range rule) and the matrix is scaled back by
@@ -117,18 +118,21 @@ def pairwise_distances(x) -> np.ndarray:
         x = np.ldexp(x, -exponent)
     n, dim = x.shape
     d = np.empty((n, n), dtype=np.float64)
-    rows = max(1, PAIRS_PER_SLICE // n)
+    rows = max(1, _TILE_VALUES // (n * dim))
+    width = max(1, _TILE_VALUES // (rows * dim))
     strip = -(-_STRIP_ROWS // rows) * rows  # whole blocks, at least _STRIP_ROWS rows
     for s0 in range(0, n, strip):
         s1 = min(s0 + strip, n)
-        m = n - s0
-        cols = x[s0:].reshape(1, m * dim)
-        for lo in range(s0, s1, rows):
-            hi = min(lo + rows, s1)
-            diff = np.repeat(x[lo:hi], m, axis=0).reshape(hi - lo, m, dim)
-            flat = diff.reshape(hi - lo, m * dim)  # a view: one row of m x D per point
-            np.subtract(flat, cols, out=flat)
-            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo:hi, s0:])
+        for c0 in range(s0, n, width):
+            c1 = min(c0 + width, n)
+            cols = x[c0:c1].reshape(1, -1)
+            for lo in range(s0, s1, rows):
+                hi = min(lo + rows, s1)
+                diff = np.repeat(x[lo:hi], c1 - c0, axis=0).reshape(hi - lo, c1 - c0, dim)
+                flat = diff.reshape(hi - lo, -1)  # a view: one row of (c1 - c0) x D per point
+                np.subtract(flat, cols, out=flat)
+                np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=d[lo:hi, c0:c1])
+                del diff, flat
         d[s1:, s0:s1] = d[s0:s1, s1:].T
     if exponent:
         with np.errstate(over="ignore"):  # documented: inf past float64's range

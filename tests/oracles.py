@@ -35,7 +35,8 @@ def rowwise_distance_matrix(points) -> np.ndarray:
     """Distances one row at a time over every column, both triangles.
 
     Each entry is the same ``einsum`` of squared coordinate differences as
-    a full row-block fill, so a blocked, mirrored fill must match it bitwise.
+    a tiled fill computes for it, however the rows and columns are split
+    into tiles, so a tiled, mirrored fill must match it bitwise.
     """
     x = np.asarray(points, dtype=float)
     d = np.empty((x.shape[0], x.shape[0]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,8 +66,19 @@ class TestPairwiseDistances:
         np.testing.assert_allclose(d, scalar_distance_matrix(x), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "n,pairs_per_slice",
-        [(300, None), (363, None), (2048, None), (70, 256), (300, 256), (100, None)],
+        "n,dim,budget",
+        [
+            (300, 16, None),
+            (363, 16, None),
+            (2048, 16, None),
+            (70, 16, 256 * 16),
+            (300, 16, 256 * 16),
+            (100, 16, None),
+            (70, 40, 512),
+            (150, 48, 1000),
+            (9, 40, 32),
+            (200, 768, None),
+        ],
         ids=[
             "two_blocks",
             "ragged_last_block",
@@ -74,19 +86,42 @@ class TestPairwiseDistances:
             "ragged_small_blocks",
             "one_row_blocks_ragged_last_strip",
             "one_block_strips",
+            "ragged_tiles_short_last_strip",
+            "ragged_tiles_every_strip",
+            "pair_beyond_budget",
+            "bert_width",
         ],
     )
-    def test_block_fill_matches_rowwise_oracle(self, monkeypatch, n, pairs_per_slice):
+    def test_block_fill_matches_rowwise_oracle(self, monkeypatch, n, dim, budget):
         # n <= 12 below is a single block; these sizes fill and mirror many.
-        # Blocks of 27, 22, 4, 3, 1 and 81 rows make strips of 81, 66, 64,
-        # 66, 64 and 81 rows; every n but 2048 ends in a shorter strip
-        if pairs_per_slice is not None:
-            monkeypatch.setattr(geometry, "PAIRS_PER_SLICE", pairs_per_slice)
-        x = np.random.default_rng(n).normal(scale=3.0, size=(n, 16))
+        # At D = 16, blocks of 27, 22, 4, 3, 1 and 81 rows make strips of 81,
+        # 66, 64, 66, 64 and 81 rows; every n but 2048 ends in a shorter
+        # strip.  Each block is one tile, but for the first strip of 300
+        # one-row blocks, whose 300 columns split into tiles of 256 and 44.
+        # Wider, one-row blocks split into tiles of 12 columns (the first
+        # strip's 70 end in one of 10, the 6-row last strip's 6 are one
+        # tile); of 20 (150, 86 and 22 columns end in 10, 6 and 2); of one
+        # pair whose 40 differences alone exceed the budget; and of 170 at
+        # the default budget and D = 768 (200 columns end in 30)
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_TILE_VALUES", budget)
+        x = np.random.default_rng(n).normal(scale=3.0, size=(n, dim))
         d = pairwise_distances(x)
         assert np.array_equal(d, rowwise_distance_matrix(x))
         assert np.array_equal(d, d.T)
         assert not np.diagonal(d).any()
+
+    def test_fill_holds_the_matrix_plus_one_tile(self):
+        # at N = D = 256, blocks of 8192 // N rows would hold 16 MiB of
+        # differences each; tiles of 2 rows hold 1 MiB, freed one by one
+        x = np.random.default_rng(5).normal(size=(256, 256))
+        tracemalloc.start()
+        try:
+            d = pairwise_distances(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - d.nbytes <= 2 * geometry._TILE_VALUES * 8
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
