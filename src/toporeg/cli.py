@@ -108,7 +108,7 @@ def _barcode(path):
 def cmd_barcode(args) -> int:
     barcode = _barcode(args.input)
     lengths, a, b = barcode.lengths(), barcode.a, barcode.b
-    order = np.lexsort((b, a, -lengths))  # longest first, then by endpoints
+    order = np.argsort(-lengths, kind="stable")  # longest first; the barcode orders ties by endpoints
     payload = {
         "bars": [
             {"length": length, "a": i, "b": j}

@@ -13,15 +13,16 @@ stopped; else the earliest bad row, and for a bad cell also its column.
 
 Two readers share this format.  numpy's C reader (``np.loadtxt``, whose
 float converter calls ``PyOS_string_to_double`` as ``float()`` does) takes
-a label-free file with no ``"`` and no blank line at the top, no line past
-the field size limit, finite cells and rows of the header's width.  Every
-other file, each labeled or malformed one included, goes through the csv
-module and one pass over its rows, which defines the format and every
-message; points and messages are the same whichever reader runs.  A
-2048 x 16 cloud loads in about 9 ms through the C reader and 16 ms through
-the csv module, 17 ms with a label column (2-core Xeon, medians of 41
-loads).  An input that cannot seek, such as a pipe, raises CloudParseError:
-both readers start at the top of the file.
+a file of numbers alone: no header, no ``"``, no line past the field size
+limit, finite cells in rows of one width; empty lines it skips, as the csv
+module does.  Every other file, each headered, labeled or malformed one
+included, goes through the csv module and one pass over its rows, which
+defines the format and every message; points and messages are the same
+whichever reader runs.  A 2048 x 16 cloud loads in about 9 ms through the
+C reader, and through the csv module in 16 ms with a header line and 17 ms
+with a label column (2-core Xeon, medians of 41 loads).  An input that cannot seek,
+such as a pipe, raises CloudParseError: both readers start at the top of
+the file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import csv
 import math
 import warnings
 from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
@@ -78,32 +78,20 @@ def _checked_lines(lines, limit: int):
 
 
 def _c_reader(path) -> tuple[np.ndarray, None] | None:
-    """(points, None) of a label-free file numpy's C reader takes (module
-    docstring), or None for a file the csv module must read."""
-    limit = csv.field_size_limit()
+    """(points, None) of a file of numbers alone, which numpy's C reader
+    takes (module docstring), or None for a file the csv module must read."""
     try:
-        with _text(path) as fh:
-            first = fh.readline()
-            cells = first.rstrip("\r\n").split(",")
-            # a blank first line or a quote leaves header detection to the csv module
-            if len(first) > limit or '"' in first or not "".join(cells).strip():
-                return None
-            has_header = not all(_is_float(cell.strip()) for cell in cells)
-            if has_header and cells[-1].strip().lower() == "label":
-                return None
-            lines = _checked_lines(fh, limit)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # such as "input contained no data"
-                points = np.loadtxt(
-                    lines if has_header else chain([first], lines),
-                    delimiter=",",
-                    comments=None,  # a "#" cell is a bad cell, not a comment
-                    ndmin=2,
-                )
+        with _text(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as "input contained no data"
+            points = np.loadtxt(
+                _checked_lines(fh, csv.field_size_limit()),
+                delimiter=",",
+                comments=None,  # a "#" cell is a bad cell, not a comment
+                ndmin=2,
+            )
     except (ValueError, Warning):  # UnicodeDecodeError included: the csv path gives its offset
         return None
-    taken = points.size and points.shape[1] == len(cells) and np.isfinite(points).all()
-    return (points, None) if taken else None
+    return (points, None) if points.size and np.isfinite(points).all() else None
 
 
 def _csv_reader(path) -> tuple[np.ndarray, np.ndarray | None]:

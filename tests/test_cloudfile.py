@@ -114,8 +114,8 @@ class TestBulkParse:
 
     @pytest.mark.parametrize(
         "text",
-        # numpy's C reader parses the label-free file and must decline its inf
-        ["x,y,label\n1,2,0\n3,inf,1\n4,oops,1\n", "x,y\n1,2\n3,inf\n4,5\n"],
+        # numpy's C reader parses the header-free file and must decline its inf
+        ["x,y,label\n1,2,0\n3,inf,1\n4,oops,1\n", "0,0\n1,2\n3,inf\n4,5\n"],
         ids=["labeled", "label_free"],
     )
     def test_errors_start_with_the_path(self, tmp_path, text):
@@ -148,24 +148,27 @@ class TestBulkParse:
 
 @st.composite
 def plain_clouds(draw):
-    """(header or None, rows) of label-free cells numpy's C reader takes:
-    number_cells() without underscores or non-ASCII digits, padded."""
+    """(header or None, rows, gaps) of label-free cells: number_cells()
+    without underscores or non-ASCII digits, padded, which numpy's C reader
+    takes in a file with no header.  gaps[i] puts an empty line before line
+    i of the file, so gaps[0] before its first line."""
     width = draw(st.integers(1, 4))
     token = number_cells().filter(lambda c: c.isascii() and "_" not in c)
     cell = st.tuples(st.sampled_from(PADDING), token, st.sampled_from(PADDING)).map("".join)
     rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=8))
     header = draw(st.sampled_from([None, [f" x{i} " for i in range(width)]]))
-    return header, rows
+    gaps = draw(st.lists(st.booleans(), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    return header, rows, gaps
 
 
 class TestTwoReaders:
     @settings(max_examples=200, deadline=None)
     @given(cloud=plain_clouds(), ending=st.sampled_from(["\n", "\r\n", "\r"]), bom=st.sampled_from(["", "\ufeff"]))
     def test_c_reader_matches_the_csv_module(self, tmp_path_factory, cloud, ending, bom):
-        header, rows = cloud
+        header, rows, gaps = cloud
         labeled_header = [*(header or [f"x{i}" for i in range(len(rows[0]))]), "label"]
         texts = {
-            # no label column, no quote: numpy's C reader
+            # no label column, no quote: numpy's C reader, unless there is a header
             "plain": [header, *rows] if header else rows,
             # a label column: the csv module
             "labeled": [
@@ -179,8 +182,11 @@ class TestTwoReaders:
         got = {}
         for name, lines in texts.items():
             path = base / f"{name}.csv"
-            path.write_text(bom + ending.join(map(",".join, lines)) + ending, encoding="utf-8", newline="")
-            assert (cloudfile._c_reader(path) is None) == (name != "plain")
+            spaced = []
+            for gap, line in zip(gaps, lines):
+                spaced += [""] * gap + [",".join(line)]
+            path.write_text(bom + ending.join(spaced) + ending, encoding="utf-8", newline="")
+            assert (cloudfile._c_reader(path) is None) == (name != "plain" or header is not None)
             got[name] = load_cloud_csv(path)
         assert got["plain"][1] is None and got["quoted"][1] is None
         labels = got["labeled"][1]
@@ -188,6 +194,16 @@ class TestTwoReaders:
         points = got["plain"][0]
         assert points.shape == (len(rows), len(rows[0]))
         assert got["labeled"][0].tobytes() == points.tobytes() == got["quoted"][0].tobytes()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_first_line_stays_on_the_c_reader(self, tmp_path, ending):
+        path = tmp_path / "cloud.csv"
+        path.write_text(ending.join(["", "1,2", "3,4", ""]), encoding="utf-8", newline="")
+        taken = cloudfile._c_reader(path)
+        assert taken is not None and taken[1] is None
+        points, labels = cloudfile._csv_reader(path)
+        assert labels is None and points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert taken[0].tobytes() == points.tobytes()
 
 
 class TestLabelCells:
